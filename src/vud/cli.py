@@ -7,7 +7,8 @@ engine entry points with the same defaults, so a batch update and the
 corresponding REPL choose produce identical transactions.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 no realising
-transaction, 3 database not stratifiable.
+transaction found (the message says when the search budget ran out
+first), 3 database not stratifiable.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .lang import (
+    MAX_ROUNDS,
     Atom,
     Database,
     NotStratifiableError,
@@ -140,7 +142,7 @@ class Session:
 
     initial: Database
     variant: str = "minimal"
-    max_iter: int = 8
+    max_iter: int = MAX_ROUNDS
     db: Database = field(init=False)
     history: list[Transaction] = field(default_factory=list)
     pending: tuple[Transaction, ...] = ()
@@ -294,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--delete", action="append", default=[], metavar="ATOM")
     u.add_argument("--variant", choices=("minimal", "materialized"), default="minimal")
     u.add_argument("--all", action="store_true", help="list every alternative instead of applying the first")
-    u.add_argument("--max-iter", type=int, default=8, dest="max_iter", metavar="N")
+    u.add_argument("--max-iter", type=int, default=MAX_ROUNDS, dest="max_iter", metavar="N")
     u.add_argument("--format", choices=("text", "tsv"), default="text")
 
     r = with_file("repl", "interactive session")
     r.add_argument("--variant", choices=("minimal", "materialized"), default="minimal")
-    r.add_argument("--max-iter", type=int, default=8, dest="max_iter", metavar="N")
+    r.add_argument("--max-iter", type=int, default=MAX_ROUNDS, dest="max_iter", metavar="N")
     return parser
 
 

@@ -17,12 +17,10 @@ the price of branches that are not always minimal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .explain import local_explanations, minimal_members
-from .lang import Atom, Database, Literal, Rule
+from .lang import Atom, Database, Literal, Rule, unique
 from .semantics import fixpoint_model, least_model, reduct
 
 
@@ -185,14 +183,6 @@ def branch_additions(branch: Branch, edb: frozenset[Atom], base_preds: frozenset
     )
 
 
-def _dedup(sets: Iterable[frozenset[Atom]]) -> tuple[frozenset[Atom], ...]:
-    seen: list[frozenset[Atom]] = []
-    for s in sets:
-        if s not in seen:
-            seen.append(s)
-    return tuple(seen)
-
-
 def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:
     """True when the deletion works and every deleted fact individually
     matters: putting any single one back restores a proof of the atom."""
@@ -224,18 +214,8 @@ def deletion_candidates(
     if atom not in model:
         return (frozenset(),)
     tableau = build_tableau(deletion_program(db, model), delete_request(atom))
-    candidates = _dedup(branch_deletions(b, db.edb) for b in tableau.open())
+    candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
     if minimality:
         candidates = tuple(c for c in candidates if strongly_minimal(db, atom, c))
     return tuple(candidates)
 
-
-def edb_cuts(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> tuple[frozenset[Atom], ...]:
-    """Deletion candidates the explanation way: pick one stored fact out of
-    every proof, then keep the subset-minimal picks.  Agrees with the
-    tableau route; exists as an independently simple formulation."""
-    family = local_explanations(db, atom, model)
-    if not family:
-        return ()
-    picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}
-    return tuple(minimal_members(picks))

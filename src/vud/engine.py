@@ -6,9 +6,14 @@ deletions; base atoms are changed directly), the families are combined, and
 every combination is verified against the whole request and the
 constraints.  A combination that fails is re-expanded against its own
 result state, so goals that interact (one goal's change breaking another)
-are still solved; constraint violations go through the bounded repair
-search.  If nothing survives, the request is unrealizable and the error
-carries a trace of what was tried.
+are still solved; constraint violations go through the repair search.
+
+All of these searches run on lang.breadth_first with its shared limits
+(MAX_STATES states per search, MAX_ROUNDS rounds, which max_rounds
+overrides for this search only).  A search that reaches a limit returns
+what it has and marks the request's SearchLog, which ends up as the
+exhausted flag on the result or the error.  If nothing survives, the
+request is unrealizable and the error carries a trace of what was tried.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
@@ -18,9 +23,10 @@ via MaterializedViewCache) and reports every verified branch.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from .deletion import (
     Clause,
@@ -32,17 +38,29 @@ from .deletion import (
     materialized_program,
 )
 from .insertion import insertion_candidates
-from .lang import Atom, Database, Rule, Transaction
+from .lang import (
+    MAX_ROUNDS, MAX_STATES, Atom, Database, Rule, SearchLog, Transaction, antichain,
+    breadth_first, unique,
+)
 from .revision import rationality_report, repair_constraints
 from .semantics import check_ic, least_model
 
 
-class UnrealizableError(Exception):
-    """No fact-level change realises the request."""
+# longest trace an UnrealizableError carries
+MAX_TRACE = 40
 
-    def __init__(self, message: str, trace: tuple[str, ...] = ()):
+
+class UnrealizableError(Exception):
+    """No fact-level change realises the request.
+
+    exhausted means some search stopped at its limit, so the verdict is
+    inconclusive rather than a proof that no change exists.
+    """
+
+    def __init__(self, message: str, trace: tuple[str, ...] = (), exhausted: bool = False):
         super().__init__(message)
         self.trace = trace
+        self.exhausted = exhausted
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -92,6 +110,8 @@ class UpdateResult:
     chosen: Transaction
     database: Database
     postulates: tuple[PostulateReport, ...] = ()
+    # some search stopped at its limit: alternatives may be missing
+    exhausted: bool = False
 
 
 class MaterializedViewCache:
@@ -118,9 +138,11 @@ class MaterializedViewCache:
         return len(self._programs)
 
 
-def _insert_family(db: Database, goal: Atom, minimality: bool) -> tuple[Transaction, ...]:
+def _insert_family(
+    db: Database, goal: Atom, minimality: bool, log: SearchLog
+) -> tuple[Transaction, ...]:
     if goal.pred in db.view_predicates:
-        return insertion_candidates(db, goal, minimality=minimality)
+        return insertion_candidates(db, goal, minimality=minimality, log=log)
     if goal in db.edb:
         return (Transaction(),)
     return (Transaction(frozenset({goal}), frozenset()),)
@@ -136,15 +158,10 @@ def _delete_family(
             program = cache.program(db)
             tableau = build_tableau(program, delete_request(goal))
             base = frozenset(db.base_predicates)
-            family: list[Transaction] = []
-            for branch in tableau.open():
-                tx = Transaction(
-                    branch_additions(branch, db.edb, base),
-                    branch_deletions(branch, db.edb),
-                )
-                if tx not in family:
-                    family.append(tx)
-            return tuple(family)
+            return unique(
+                Transaction(branch_additions(b, db.edb, base), branch_deletions(b, db.edb))
+                for b in tableau.open()
+            )
         return tuple(
             Transaction(frozenset(), cut) for cut in deletion_candidates(db, goal)
         )
@@ -158,13 +175,15 @@ def view_update(
     request: UpdateRequest,
     variant: str = "minimal",
     cache: MaterializedViewCache | None = None,
-    max_rounds: int = 8,
-    max_states: int = 20000,
+    max_rounds: int = MAX_ROUNDS,
 ) -> UpdateResult:
     """Realise the request, smallest verified change first.
 
-    Raises UnrealizableError when no combination of candidate changes
-    survives verification, with a trace of the failed attempts.
+    Combinations of the goals' candidate families are searched breadth
+    first; one that misses a goal or breaks a constraint is merged with
+    the goal's family or the repairs computed on its own result, up to
+    max_rounds times.  Raises UnrealizableError when nothing survives
+    verification, with a trace of the failed attempts.
     """
     if variant not in ("minimal", "materialized"):
         raise ValueError("variant must be 'minimal' or 'materialized', got %r" % variant)
@@ -179,120 +198,85 @@ def view_update(
         )
 
     minimality = variant == "minimal"
+    log = SearchLog()
     trace: list[str] = []
+
+    def note(line: str) -> None:
+        if len(trace) < MAX_TRACE:
+            trace.append(line)
+
+    def family(after: Database, kind: str, goal: Atom) -> tuple[Transaction, ...]:
+        if kind == "insert":
+            return _insert_family(after, goal, minimality, log)
+        return _delete_family(after, goal, variant, cache)
+
     families: list[tuple[Transaction, ...]] = []
     for kind, goal in request.goals:
-        family = (
-            _insert_family(db, goal, minimality)
-            if kind == "insert"
-            else _delete_family(db, goal, variant, cache)
-        )
-        trace.append("%s %s: %d candidate change(s)" % (kind, goal, len(family)))
-        families.append(family)
+        stops = log.stops
+        fam = family(db, kind, goal)
+        if fam:
+            note("%s %s: %d candidate change(s)" % (kind, goal, len(fam)))
+        elif log.stops > stops:
+            note("%s %s: no candidate change, the search budget ran out" % (kind, goal))
+        else:
+            note("%s %s: no candidate change" % (kind, goal))
+        families.append(fam)
 
-    seeds: list[Transaction] = []
-    for combo in itertools.product(*families):
-        merged = Transaction()
-        for part in combo:
-            merged = merged.merge(part)
-        if merged.consistent and merged not in seeds:
-            seeds.append(merged)
-        if len(seeds) > max_states:
-            break
-    if not seeds and families:
-        trace.append("all combined candidates were self-contradictory")
+    def combinations() -> Iterator[Transaction]:
+        for combo in itertools.product(*families):
+            merged = functools.reduce(Transaction.merge, combo, Transaction())
+            if merged.consistent:
+                yield merged
 
     protect_present = frozenset(a for a in request.inserts if a.pred not in db.view_predicates)
     protect_absent = frozenset(a for a in request.deletes if a.pred not in db.view_predicates)
 
-    queue: deque[tuple[Transaction, int]] = deque((s, 0) for s in seeds)
-    visited = {(s.additions, s.removals) for s in seeds}
-    verified: list[Transaction] = []
-    states = 0
-    while queue:
-        tx, depth = queue.popleft()
-        states += 1
-        if states > max_states:
-            trace.append("search stopped after %d states" % max_states)
-            break
+    def extend(tx: Transaction, extras: Iterable[Transaction], failure: str) -> list[Transaction]:
+        grown = [
+            m for m in map(tx.merge, extras)
+            if m.consistent and not (m.additions & protect_absent or m.removals & protect_present)
+        ]
+        if not grown:
+            note("%s: %s" % (tx, failure))
+        return grown
+
+    def repairs(tx: Transaction, after: Database) -> tuple[Transaction, ...]:
+        outcome = repair_constraints(
+            after,
+            protect_present=tx.additions | protect_present,
+            protect_absent=tx.removals | protect_absent,
+            log=log,
+        )
+        if outcome.exhausted:
+            note("%s: constraint repair exhausted" % tx)
+        return outcome.transactions
+
+    def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
         model = least_model(after)
-        unmet = None
         for kind, goal in request.goals:
-            holds = goal in model
-            if kind == "insert" and not holds:
-                unmet = (kind, goal)
-                break
-            if kind == "delete" and holds:
-                unmet = (kind, goal)
-                break
-        if unmet is not None:
-            kind, goal = unmet
-            if depth >= max_rounds:
-                trace.append("%s: %s %s not achieved, depth limit" % (tx, kind, goal))
-                continue
-            family = (
-                _insert_family(after, goal, minimality)
-                if kind == "insert"
-                else _delete_family(after, goal, variant, cache)
-            )
-            progressed = False
-            for extra in family:
-                merged = tx.merge(extra)
-                if not merged.consistent:
-                    continue
-                if merged.additions & protect_absent or merged.removals & protect_present:
-                    continue
-                key = (merged.additions, merged.removals)
-                if key in visited:
-                    continue
-                visited.add(key)
-                queue.append((merged, depth + 1))
-                progressed = True
-            if not progressed and len(trace) < 40:
-                trace.append("%s: %s %s not achieved" % (tx, kind, goal))
-            continue
+            if (goal in model) != (kind == "insert"):
+                failure = "%s %s not achieved" % (kind, goal)
+                return lambda: extend(tx, family(after, kind, goal), failure)
         violated = check_ic(after)
         if violated:
-            if depth >= max_rounds:
-                trace.append("%s: constraint repair depth limit" % tx)
-                continue
-            outcome = repair_constraints(
-                after,
-                protect_present=tx.additions | protect_present,
-                protect_absent=tx.removals | protect_absent,
-                all_solutions=True,
-            )
-            if outcome.exhausted and len(trace) < 40:
-                trace.append("%s: constraint repair exhausted" % tx)
-            progressed = False
-            for extra in outcome.transactions:
-                merged = tx.merge(extra)
-                if not merged.consistent:
-                    continue
-                key = (merged.additions, merged.removals)
-                if key in visited:
-                    continue
-                visited.add(key)
-                queue.append((merged, depth + 1))
-                progressed = True
-            if not progressed and len(trace) < 40:
-                trace.append("%s: violates '%s'" % (tx, violated[0]))
-            continue
-        if tx not in verified:
-            verified.append(tx)
+            return lambda: extend(tx, repairs(tx, after), "violates '%s'" % violated[0])
+        return None
 
+    verified = breadth_first(combinations(), step, log, rounds=max_rounds)
+    if log.exhausted:
+        note("the search budget ran out: %d states or %d rounds per search" % (MAX_STATES, max_rounds))
+    if not verified and all(families) and next(combinations(), None) is None:
+        note("all combined candidates were self-contradictory")
     if not verified:
-        raise UnrealizableError("cannot realise %s" % request, tuple(trace[:40]))
+        message = "cannot realise %s" % request
+        if log.exhausted:
+            message += " within the search budget"
+        raise UnrealizableError(message, tuple(trace), exhausted=log.exhausted)
 
     if minimality:
-        verified = [
-            t for t in verified if not any(o is not t and t.covers(o) for o in verified)
-        ]
-    verified.sort(
-        key=lambda t: (t.size, sorted(map(str, t.additions)), sorted(map(str, t.removals)))
-    )
-    alternatives = tuple(verified)
+        verified = antichain(verified)
+    alternatives = tuple(sorted(verified, key=Transaction.rank_key))
     chosen = alternatives[0]
     after = chosen.apply(db)
 
@@ -310,4 +294,5 @@ def view_update(
         chosen=chosen,
         database=after,
         postulates=postulates,
+        exhausted=log.exhausted,
     )

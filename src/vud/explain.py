@@ -10,16 +10,8 @@ almost-proof needs.
 
 from __future__ import annotations
 
-from .lang import Atom, Database
-from .semantics import build_proof_tree, least_model
-
-
-def _dedup(sets) -> tuple[frozenset[Atom], ...]:
-    seen = []
-    for s in sets:
-        if s not in seen:
-            seen.append(s)
-    return tuple(seen)
+from .lang import Atom, Database, unique
+from .semantics import build_proof_tree
 
 
 def minimal_members(family) -> tuple[frozenset[Atom], ...]:
@@ -37,7 +29,7 @@ def local_explanations(
 ) -> tuple[frozenset[Atom], ...]:
     """Fact sets of the individual proofs of atom, in proof order."""
     tree = build_proof_tree(db, atom, model=model)
-    return _dedup(tree.success_sets())
+    return unique(tree.success_sets())
 
 
 def explanations(
@@ -53,7 +45,7 @@ def missing_support(
     """Assumption sets of branches that would prove atom if the listed
     absent base facts were stored, in proof order."""
     tree = build_proof_tree(db, atom, hypothesize=True, model=model)
-    return _dedup(tree.hypothesised_sets())
+    return unique(tree.hypothesised_sets())
 
 
 def support_union(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> frozenset[Atom]:

@@ -1,9 +1,8 @@
 """Minimal hitting sets of a family of sets.
 
-Two implementations of the same function: a size-ascending sweep whose
-correctness is obvious, and a branching search that prunes early and copes
-with larger families.  They agree on everything; the sweep doubles as a
-check on the search in the tests.
+A size-ascending sweep over subsets of the family's union, whose
+correctness is obvious.  tests/oracles.py holds a branch-and-bound version
+that the tests check against it.
 """
 
 from __future__ import annotations
@@ -43,29 +42,3 @@ def minimal_hitting_sets(family: Iterable[Collection]) -> tuple[frozenset, ...]:
                 found.append(cand)
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
-
-def minimal_hitting_sets_bb(family: Iterable[Collection]) -> tuple[frozenset, ...]:
-    """Same result as minimal_hitting_sets via branch and bound: branch on
-    the elements of a smallest unhit member, prune supersets of solutions."""
-    fam = [frozenset(s) for s in family if s]
-    found: list[frozenset] = []
-
-    def search(partial: frozenset) -> None:
-        if any(f <= partial for f in found):
-            return
-        unhit = [s for s in fam if not s & partial]
-        if not unhit:
-            found.append(partial)
-            # a new solution can make earlier supersets non-minimal
-            found[:] = [f for f in found if not partial < f]
-            return
-        pivot = min(unhit, key=lambda s: (len(s), sorted(s)))
-        for elem in sorted(pivot):
-            search(partial | {elem})
-
-    search(frozenset())
-    dedup = []
-    for f in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if f not in dedup and not any(g <= f and g != f for g in dedup):
-            dedup.append(f)
-    return tuple(dedup)

@@ -16,6 +16,8 @@ literals.  A delta then propagates case by case:
 The search explores these choices breadth first over worlds (sets of delta
 atoms); a finished world's base-level deltas form a candidate transaction,
 which is then verified, checked against the constraints, and minimised.
+Both the world search and the verify-and-re-expand search over candidate
+transactions run on lang.breadth_first and share its limits.
 Derivability checks run on a goal-guarded rewriting of the rules so only
 atoms relevant to the goal are derived.
 """
@@ -23,18 +25,18 @@ atoms relevant to the goal are derived.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .deletion import Clause, deletion_candidates
-from .lang import EQ, Atom, Database, Literal, Rule, Transaction, is_variable
+from .lang import (
+    EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
+    is_variable, unique,
+)
 from .semantics import check_ic, eq_holds, fixpoint_model, least_model
 
 ADD = "+"
 REMOVE = "-"
-
-
 
 
 def delta_add(atom: Atom) -> Atom:
@@ -248,10 +250,8 @@ def _options_for_add(
                         deltas.add(delta_remove(g.atom))
                 elif g.atom not in model:
                     deltas.add(delta_add(g.atom))
-            option = frozenset(deltas)
-            if option not in options:
-                options.append(option)
-    return options
+            options.append(frozenset(deltas))
+    return list(unique(options))
 
 
 def insertion_worlds(
@@ -259,15 +259,19 @@ def insertion_worlds(
     inserts: Iterable[Atom] = (),
     deletes: Iterable[Atom] = (),
     model: frozenset[Atom] | None = None,
-    max_worlds: int = 20000,
+    log: SearchLog | None = None,
 ) -> tuple[frozenset[Atom], ...]:
     """Finished delta worlds for the request, breadth first.
 
     Every world is a consistent set of delta atoms with all view-level
     deltas expanded away; its base-level part is a candidate transaction.
+    A world search has no round limit, only the state limit: a stop there
+    is marked on the log and the worlds finished so far are returned.
     """
     if model is None:
         model = least_model(db)
+    if log is None:
+        log = SearchLog()
     normalized = normalize_rules(db.idb)
     defs = view_definitions(normalized)
     norm_model = fixpoint_model(normalized, db.edb, db.universe())
@@ -281,21 +285,13 @@ def insertion_worlds(
             fresh[pred][idx] = fresh_pool[i]
             i += 1
 
-    seeds = delta_seeds(inserts, deletes)
-    pending0 = tuple(sorted(d for d in seeds if split_delta(d)[1].pred in defs))
-    queue: deque[tuple[frozenset[Atom], tuple[Atom, ...]]] = deque([(seeds, pending0)])
-    seen = {(seeds, frozenset(pending0))}
-    finished: list[frozenset[Atom]] = []
-    processed = 0
-    while queue:
-        deltas, pending = queue.popleft()
-        processed += 1
-        if processed > max_worlds:
-            raise RuntimeError("insertion search exceeded %d worlds" % max_worlds)
-        if not pending:
-            if deltas not in finished:
-                finished.append(deltas)
-            continue
+    World = tuple[frozenset[Atom], tuple[Atom, ...]]  # deltas, view deltas to expand
+
+    def step(world: World, depth: int) -> Callable[[], Iterator[World]] | None:
+        deltas, pending = world
+        return (lambda: expand(deltas, pending)) if pending else None
+
+    def expand(deltas: frozenset[Atom], pending: tuple[Atom, ...]) -> Iterator[World]:
         current, rest = pending[0], pending[1:]
         sign, atom = split_delta(current)
         if sign == ADD:
@@ -311,15 +307,16 @@ def insertion_worlds(
                 continue
             if any(Atom(REMOVE + a.pred[1:], a.args) in new_deltas for a in option if a.pred[0] == ADD):
                 continue
-            new_pending = rest + tuple(
+            yield new_deltas, rest + tuple(
                 sorted(d for d in option - deltas if split_delta(d)[1].pred in defs)
             )
-            key = (new_deltas, frozenset(new_pending))
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((new_deltas, new_pending))
-    return tuple(finished)
+
+    seeds = delta_seeds(inserts, deletes)
+    pending0 = tuple(sorted(d for d in seeds if split_delta(d)[1].pred in defs))
+    finished = breadth_first(
+        [(seeds, pending0)], step, log, key=lambda w: (w[0], frozenset(w[1])), rounds=None
+    )
+    return tuple(deltas for deltas, _ in finished)
 
 
 # --- candidate transactions -------------------------------------------------
@@ -344,10 +341,10 @@ def _transaction_of(world: frozenset[Atom], base_preds: frozenset[str]) -> Trans
 
 
 def _world_transactions(
-    db: Database, atom: Atom, model: frozenset[Atom], max_worlds: int
-) -> list[Transaction]:
+    db: Database, atom: Atom, model: frozenset[Atom], log: SearchLog
+) -> tuple[Transaction, ...]:
     """Base transactions of the delta worlds for one insertion, unverified."""
-    worlds = insertion_worlds(db, [atom], model=model, max_worlds=max_worlds)
+    worlds = insertion_worlds(db, [atom], model=model, log=log)
     normalized = normalize_rules(db.idb)
     defined = {r.head.pred for r in normalized if r.head is not None}
     base_preds = frozenset(
@@ -356,35 +353,33 @@ def _world_transactions(
         for l in r.body
         if l.atom.pred not in defined and l.atom.pred != EQ
     ) | frozenset(a.pred for a in db.edb)
-    out: list[Transaction] = []
-    for world in worlds:
-        tx = _transaction_of(world, base_preds)
-        if tx.consistent and tx not in out:
-            out.append(tx)
-    return out
+    txs = (_transaction_of(world, base_preds) for world in worlds)
+    return unique(tx for tx in txs if tx.consistent)
 
 
-def _disarm_steps(
-    db: Database, instance: Rule, model: frozenset[Atom], max_worlds: int
-) -> list[Transaction]:
-    """Single-purpose changes that break one violated denial instance."""
-    steps: list[Transaction] = []
+def disarm_steps(
+    db: Database,
+    instance: Rule,
+    insert_view: Callable[[Atom], Iterable[Transaction]],
+    model: frozenset[Atom] | None = None,
+) -> Iterator[Transaction]:
+    """Single-purpose changes that break one violated denial instance:
+    retract a true positive subgoal, or make a negated one true (views
+    through insert_view)."""
     for lit in instance.body:
         a = lit.atom
         if a.pred == EQ:
             continue
         if lit.negated:
             if a.pred in db.view_predicates:
-                steps.extend(_world_transactions(db, a, model, max_worlds))
+                yield from insert_view(a)
             else:
-                steps.append(Transaction(frozenset({a}), frozenset()))
-        else:
-            if a.pred in db.view_predicates:
-                for cut in deletion_candidates(db, a, model=model):
-                    steps.append(Transaction(frozenset(), cut))
-            elif a in db.edb:
-                steps.append(Transaction(frozenset(), frozenset({a})))
-    return steps
+                yield Transaction(frozenset({a}), frozenset())
+        elif a.pred in db.view_predicates:
+            for cut in deletion_candidates(db, a, model=model):
+                yield Transaction(frozenset(), cut)
+        elif a in db.edb:
+            yield Transaction(frozenset(), frozenset({a}))
 
 
 def insertion_candidates(
@@ -392,8 +387,7 @@ def insertion_candidates(
     atom: Atom,
     minimality: bool = True,
     model: frozenset[Atom] | None = None,
-    max_worlds: int = 20000,
-    max_rounds: int = 4,
+    log: SearchLog | None = None,
 ) -> tuple[Transaction, ...]:
     """Verified transactions that make atom derivable without breaking any
     constraint, smallest first.
@@ -402,8 +396,8 @@ def insertion_candidates(
     subgoal's change can knock out support another subgoal leaned on
     (through negation) or trip a constraint.  Candidates that come back
     from verification short are therefore rerun against the database they
-    produced and merged with the outcome, up to max_rounds times, before
-    the survivors are ranked.
+    produced and merged with the outcome, for up to MAX_ROUNDS rounds of
+    the shared breadth-first search, before the survivors are ranked.
 
     Transactions confined to the known constants are preferred: witness
     constants (new_1, ...) survive only when nothing else works.  With
@@ -414,47 +408,33 @@ def insertion_candidates(
         model = least_model(db)
     if atom in model:
         return (Transaction(),)
+    if log is None:
+        log = SearchLog()
 
-    queue: deque[tuple[Transaction, int]] = deque()
-    visited: set[tuple[frozenset[Atom], frozenset[Atom]]] = set()
+    def grow(tx: Transaction, extras: Iterable[Transaction]) -> list[Transaction]:
+        return [m for m in map(tx.merge, extras) if m.consistent]
 
-    def push(tx: Transaction, depth: int) -> None:
-        key = (tx.additions, tx.removals)
-        if tx.consistent and key not in visited:
-            visited.add(key)
-            queue.append((tx, depth))
-
-    for tx in _world_transactions(db, atom, model, max_worlds):
-        push(tx, 0)
-
-    txs: list[Transaction] = []
-    while queue:
-        tx, depth = queue.popleft()
+    def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
         after_model = least_model(after)
         if atom not in after_model:
-            if depth < max_rounds:
-                for extra in _world_transactions(after, atom, after_model, max_worlds):
-                    push(tx.merge(extra), depth + 1)
-            continue
+            return lambda: grow(tx, _world_transactions(after, atom, after_model, log))
         violated = check_ic(after, after_model)
         if violated:
-            if depth < max_rounds:
-                for extra in _disarm_steps(after, violated[0], after_model, max_worlds):
-                    push(tx.merge(extra), depth + 1)
-            continue
-        if tx not in txs:
-            txs.append(tx)
+            return lambda: grow(tx, disarm_steps(
+                after, violated[0], lambda a: _world_transactions(after, a, after_model, log), after_model
+            ))
+        return None
 
+    txs = breadth_first(_world_transactions(db, atom, model, log), step, log)
     known = db.universe() | set(atom.args)
     grounded = [t for t in txs if all(set(a.args) <= known for a in t.additions)]
     if grounded:
         txs = grounded
-    txs = [t for t in txs if not any(o is not t and t.covers(o) for o in txs)]
+    txs = antichain(txs)
     if minimality:
         txs = [t for t in txs if _necessary(db, atom, t)]
-    txs.sort(key=lambda t: (t.size, sorted(map(str, t.additions)), sorted(map(str, t.removals))))
-    return tuple(txs)
+    return tuple(sorted(txs, key=Transaction.rank_key))
 
 
 def _necessary(db: Database, atom: Atom, tx: Transaction) -> bool:

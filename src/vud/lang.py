@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 EQ = "eq"
+
+T = TypeVar("T")
 
 
 def is_variable(term: str) -> bool:
@@ -140,6 +143,86 @@ class Transaction:
     def apply(self, db: "Database") -> "Database":
         return db.with_edb((db.edb | self.additions) - self.removals)
 
+    def rank_key(self) -> tuple[int, list[str], list[str]]:
+        """Ranking order: fewer changes first, ties broken lexically."""
+        return (self.size, sorted(map(str, self.additions)), sorted(map(str, self.removals)))
+
+
+def antichain(txs: Sequence[Transaction]) -> list[Transaction]:
+    """The members that cover no other member, in their given order.
+    Expects distinct members."""
+    return [t for t in txs if not any(o is not t and t.covers(o) for o in txs)]
+
+
+def unique(items: Iterable[T]) -> tuple[T, ...]:
+    """Distinct items in order of first occurrence."""
+    return tuple(dict.fromkeys(items))
+
+
+# --- breadth-first search -----------------------------------------------------
+
+# Limits shared by every update search: states visited per search, and
+# rounds of expansion (the depth below which a state may be expanded).
+MAX_STATES = 20000
+MAX_ROUNDS = 8
+
+
+@dataclass
+class SearchLog:
+    """Counts the searches of one request that a limit stopped with work
+    left.  Their answers may be incomplete, and an empty one proves nothing."""
+
+    stops: int = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.stops > 0
+
+
+def breadth_first(
+    seeds: Iterable[T],
+    step: Callable[[T, int], Callable[[], Iterable[T]] | None],
+    log: SearchLog,
+    key: Callable[[T], Hashable] = lambda state: state,
+    rounds: int | None = MAX_ROUNDS,
+) -> list[T]:
+    """Finished states of a breadth-first search, in the order reached.
+
+    step(state, depth) returns None for a finished state, else a function
+    listing its children, called only when depth is below rounds.  States
+    whose key was seen before are dropped.
+    """
+    queue: deque[tuple[T, int]] = deque()
+    visited: set[Hashable] = set()
+
+    def push(state: T, depth: int) -> None:
+        k = key(state)
+        if k not in visited:
+            visited.add(k)
+            queue.append((state, depth))
+
+    for seed in seeds:
+        push(seed, 0)
+        if len(queue) > MAX_STATES:
+            break  # the loop below stops at MAX_STATES
+    found: list[T] = []
+    states = 0
+    while queue:
+        state, depth = queue.popleft()
+        states += 1
+        if states > MAX_STATES:
+            log.stops += 1
+            break
+        children = step(state, depth)
+        if children is None:
+            found.append(state)
+        elif rounds is not None and depth >= rounds:
+            log.stops += 1
+        else:
+            for child in children():
+                push(child, depth + 1)
+    return found
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -242,7 +325,6 @@ class _Parser:
             body = self.parse_body()
             self.expect("punct", ".")
             return Rule(None, body)
-        tok = self.peek()
         head = self.parse_atom()
         if self.at_punct("."):
             self.take()
@@ -254,7 +336,6 @@ class _Parser:
             # an equality head states a functional constraint; fold it into
             # the denial that rejects any instance violating the equality
             return Rule(None, body + (Literal(head, negated=True),))
-        del tok
         return Rule(head, body)
 
     def parse_program(self) -> tuple[Rule, ...]:

@@ -5,16 +5,17 @@ stored facts are up for revision.  Contraction retracts an atom by removing
 facts, revision accepts an atom by adding (and, when a constraint forces
 it, removing) facts.  Candidates come from the atom's explanations: every
 minimal stored support is a kernel, and a change is rational when it cuts
-or completes kernels and nothing else.  The checkers at the bottom state
+or completes kernels and nothing else.  Constraint repair, and the single
+repair round that contraction and revision grant a candidate, run on
+lang.breadth_first and share its limits.  The checkers at the bottom state
 the rationality postulates operationally so a result can be audited.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
-from .deletion import deletion_candidates
 from .explain import (
     local_explanations,
     minimal_members,
@@ -23,8 +24,8 @@ from .explain import (
     support_union,
 )
 from .hitting import minimal_hitting_sets
-from .insertion import insertion_candidates
-from .lang import EQ, Atom, Database, Transaction, ground_program
+from .insertion import disarm_steps, insertion_candidates
+from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first, ground_program
 from .semantics import body_holds, check_ic, fixpoint_model, least_model
 
 
@@ -56,9 +57,7 @@ def kernel_change(
         family = minimal_members(missing_support(db, atom, model=model))
         txs = [Transaction(adds, frozenset()) for adds in family]
         good = [t for t in txs if atom in least_model(t.apply(db))]
-        return tuple(
-            sorted(good, key=lambda t: (t.size, sorted(map(str, t.additions))))
-        )
+        return tuple(sorted(good, key=Transaction.rank_key))
     raise ValueError("operation must be 'insert' or 'delete', got %r" % operation)
 
 
@@ -69,8 +68,9 @@ def kernel_change(
 class RepairOutcome:
     """Repairs found for a constraint-violating database.
 
-    exhausted means the search hit its depth or state budget, so an empty
-    transaction list is inconclusive rather than a proof of impossibility.
+    exhausted means the search, or one it started, stopped at a limit, so
+    an empty transaction list is inconclusive rather than a proof of
+    impossibility.
     """
 
     transactions: tuple[Transaction, ...]
@@ -81,74 +81,39 @@ def repair_constraints(
     db: Database,
     protect_present: frozenset[Atom] = frozenset(),
     protect_absent: frozenset[Atom] = frozenset(),
-    max_depth: int = 16,
-    all_solutions: bool = False,
-    max_states: int = 20000,
+    log: SearchLog | None = None,
 ) -> RepairOutcome:
     """Smallest fact changes that make every constraint hold again.
 
-    Breadth first over transactions: a violated denial instance is disarmed
-    by retracting one of its true body atoms (through the deletion
-    machinery when the atom is a view) or by storing the atom under one of
-    its negated literals.  protect_present facts may not be removed,
-    protect_absent atoms may not be added.
+    Breadth first over transactions, one round per disarmed denial: a
+    violated denial instance is disarmed by retracting one of its true body
+    atoms (through the deletion machinery when the atom is a view) or by
+    storing the atom under one of its negated literals.  protect_present
+    facts may not be removed, protect_absent atoms may not be added.
     """
-    start = Transaction()
-    queue = deque([start])
-    visited = {(start.additions, start.removals)}
-    found: list[Transaction] = []
-    exhausted = False
-    states = 0
-    while queue:
-        tx = queue.popleft()
-        states += 1
-        if states > max_states:
-            exhausted = True
-            break
+    if log is None:
+        log = SearchLog()
+    stops = log.stops
+
+    def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
         violated = check_ic(after)
         if not violated:
-            found.append(tx)
-            if not all_solutions:
-                break
-            continue
-        if tx.size >= max_depth:
-            exhausted = True
-            continue
-        instance = violated[0]
-        steps: list[Transaction] = []
-        for lit in instance.body:
-            a = lit.atom
-            if a.pred == EQ:
-                continue
-            if lit.negated:
-                if a.pred in db.view_predicates:
-                    steps.extend(insertion_candidates(after, a))
-                elif a not in protect_absent:
-                    steps.append(Transaction(frozenset({a}), frozenset()))
-            else:
-                if a.pred in db.view_predicates:
-                    for cut in deletion_candidates(after, a):
-                        if not cut & protect_present:
-                            steps.append(Transaction(frozenset(), cut))
-                elif a in after.edb and a not in protect_present:
-                    steps.append(Transaction(frozenset(), frozenset({a})))
-        for step in steps:
-            if step.additions & protect_absent or step.removals & protect_present:
-                continue
-            merged = tx.merge(step)
-            if not merged.consistent or merged.size == tx.size:
-                continue
-            key = (merged.additions, merged.removals)
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append(merged)
-    keep = [
-        t for t in found if not any(o is not t and t.covers(o) for o in found)
-    ]
-    keep.sort(key=lambda t: (t.size, sorted(map(str, t.additions)), sorted(map(str, t.removals))))
-    return RepairOutcome(tuple(keep), exhausted)
+            return None
+
+        def children() -> list[Transaction]:
+            steps = disarm_steps(after, violated[0], lambda a: insertion_candidates(after, a, log=log))
+            return [
+                m for m in map(tx.merge, steps)
+                if m.consistent and m.size > tx.size
+                and not (m.additions & protect_absent or m.removals & protect_present)
+            ]
+
+        return children
+
+    found = breadth_first([Transaction()], step, log)
+    keep = sorted(antichain(found), key=Transaction.rank_key)
+    return RepairOutcome(tuple(keep), log.stops > stops)
 
 
 # --- the two change operations ----------------------------------------------
@@ -160,36 +125,26 @@ def _finalize(
     raw: tuple[Transaction, ...],
     want_derivable: bool,
 ) -> tuple[Transaction, ...]:
-    results: list[Transaction] = []
-    for tx in raw:
+    """The raw candidates that reach the goal without breaking a
+    constraint, plus one round of repairs for those that break one; the
+    repaired changes must still reach the goal."""
+    protect_goal = frozenset() if want_derivable else frozenset({atom})
+
+    def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
         if (atom in least_model(after)) != want_derivable:
-            continue
-        if check_ic(after):
-            protect_p = tx.additions
-            protect_a = tx.removals | (frozenset({atom}) if not want_derivable else frozenset())
-            outcome = repair_constraints(
-                after, protect_present=protect_p, protect_absent=protect_a, all_solutions=True
-            )
-            for extra in outcome.transactions:
-                merged = tx.merge(extra)
-                if not merged.consistent:
-                    continue
-                final = merged.apply(db)
-                if (atom in least_model(final)) != want_derivable:
-                    continue
-                if check_ic(final):
-                    continue
-                results.append(merged)
-        else:
-            results.append(tx)
-    out: list[Transaction] = []
-    for t in results:
-        if t not in out:
-            out.append(t)
-    out = [t for t in out if not any(o is not t and t.covers(o) for o in out)]
-    out.sort(key=lambda t: (t.size, sorted(map(str, t.additions)), sorted(map(str, t.removals))))
-    return tuple(out)
+            return list  # a dead end: no children
+        if not check_ic(after):
+            return None
+        if depth > 0:
+            return list
+        outcome = repair_constraints(
+            after, protect_present=tx.additions, protect_absent=tx.removals | protect_goal
+        )
+        return lambda: [m for m in map(tx.merge, outcome.transactions) if m.consistent]
+
+    found = breadth_first(raw, step, SearchLog())
+    return tuple(sorted(antichain(found), key=Transaction.rank_key))
 
 
 def contract(db: Database, atom: Atom) -> tuple[Transaction, ...]:

@@ -230,56 +230,57 @@ def build_proof_tree(
 
     # each pending literal carries the chain of view atoms it descends from,
     # so a repeated subgoal is a loop only on its own derivation path and a
-    # second occurrence elsewhere in the conjunction still gets expanded
-    Pending = tuple[tuple[Literal, frozenset[Atom]], ...]
-
-    def expand(
-        pending: Pending,
-        used: frozenset[Atom],
-        assumed: frozenset[Atom],
-    ) -> ProofNode:
-        goal_lits = tuple(l for l, _ in pending)
+    # second occurrence elsewhere in the conjunction still gets expanded.
+    # Depth first with an explicit stack, since a proof nests one level per
+    # subgoal and long chains go deeper than Python's recursion limit: nodes
+    # are recorded in preorder, then built children first.
+    start: tuple[tuple[Literal, frozenset[Atom]], ...] = ((Literal(goal), frozenset()),)
+    stack = [(start, frozenset(), frozenset(), -1)]
+    order: list[tuple[tuple[Literal, ...], Literal | None, ProofLeaf | None, list[int]]] = []
+    while stack:
+        pending, used, assumed, parent = stack.pop()
+        if parent >= 0:
+            order[parent][3].append(len(order))
+        lit, kind, below = None, None, []
         if not pending:
-            return ProofNode(goal_lits, None, (), ProofLeaf("success", used, assumed))
-        (lit, chain), rest = pending[0], pending[1:]
-        fail = ProofNode(goal_lits, lit, (), ProofLeaf("failure", used, assumed, failed_on=lit))
-        if lit.atom.pred == EQ:
-            if not eq_holds(lit):
-                return fail
-            return ProofNode(goal_lits, lit, (expand(rest, used, assumed),))
-        if lit.negated:
-            if lit.atom in model:
-                return fail
-            return ProofNode(goal_lits, lit, (expand(rest, used, assumed),))
-        if lit.atom.pred in view:
-            if lit.atom in chain:
-                return ProofNode(goal_lits, lit, (), ProofLeaf("loop", used, assumed, failed_on=lit))
-            deeper = chain | {lit.atom}
-            kids = []
-            for r in ground_idb:
-                if r.head == lit.atom:
-                    subgoals = tuple((b, deeper) for b in r.body)
-                    kids.append(expand(subgoals + rest, used, assumed))
-            if not kids:
-                return fail
-            return ProofNode(goal_lits, lit, tuple(kids))
-        if lit.atom in db.edb:
-            return ProofNode(goal_lits, lit, (expand(rest, used | {lit.atom}, assumed),))
-        if lit.atom in assumed:
-            return ProofNode(goal_lits, lit, (expand(rest, used, assumed),))
-        if hypothesize:
-            return ProofNode(goal_lits, lit, (expand(rest, used, assumed | {lit.atom}),))
-        return fail
-
-    root = expand(((Literal(goal), frozenset()),), frozenset(), frozenset())
-    return ProofTree(root, goal)
+            kind = "success"
+        else:
+            (lit, chain), rest = pending[0], pending[1:]
+            a = lit.atom
+            if a.pred == EQ or lit.negated:
+                holds = eq_holds(lit) if a.pred == EQ else a not in model
+                below = [(rest, used, assumed)] if holds else []
+            elif a.pred in view and a in chain:
+                kind = "loop"
+            elif a.pred in view:
+                deeper = chain | {a}
+                below = [
+                    (tuple((b, deeper) for b in r.body) + rest, used, assumed)
+                    for r in ground_idb
+                    if r.head == a
+                ]
+            elif a in db.edb:
+                below = [(rest, used | {a}, assumed)]
+            elif a in assumed or hypothesize:
+                below = [(rest, used, assumed | {a})]
+            if kind is None and not below:
+                kind = "failure"
+        leaf = None if kind is None else ProofLeaf(kind, used, assumed, failed_on=lit)
+        stack.extend((*b, len(order)) for b in reversed(below))
+        order.append((tuple(l for l, _ in pending), lit, leaf, []))
+    nodes: list[ProofNode] = [None] * len(order)  # type: ignore[list-item]
+    for i in reversed(range(len(order))):
+        goal_lits, lit, leaf, kids = order[i]
+        nodes[i] = ProofNode(goal_lits, lit, tuple(nodes[k] for k in kids), leaf)
+    return ProofTree(nodes[0], goal)
 
 
 def render_proof_tree(tree: ProofTree) -> str:
     """Indented text rendering, one node per line."""
     lines: list[str] = []
-
-    def walk(node: ProofNode, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         goal = ", ".join(str(l) for l in node.goal) if node.goal else "[]"
         tag = ""
         if node.leaf is not None:
@@ -287,8 +288,5 @@ def render_proof_tree(tree: ProofTree) -> str:
             if node.leaf.kind == "success" and node.leaf.assumed:
                 tag = " (success, assuming %s)" % ", ".join(str(a) for a in sorted(node.leaf.assumed))
         lines.append("  " * depth + goal + tag)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)

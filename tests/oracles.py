@@ -3,16 +3,19 @@
 Everything here favours the most obvious exhaustive formulation over speed:
 naive ground iteration instead of incremental evaluation, guess-and-check
 over subsets instead of goal-directed search.  Tests freeze values computed
-by these against the real implementations.
+by these against the real implementations.  The last two are second
+formulations of a production function that production does not call; the
+tests check that both formulations agree.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from vud.lang import EQ, Atom, Literal, Rule, is_variable
+from vud.explain import local_explanations, minimal_members
+from vud.lang import EQ, Atom, Database, Literal, Rule, is_variable
 
 
 def _ground_instances(rule: Rule, consts: Sequence[str]) -> list[Rule]:
@@ -291,3 +294,42 @@ def _ground_ics(ic: Sequence[Rule], model: frozenset[Atom], extra: frozenset[Ato
     for r in ic:
         out.extend(_ground_instances(r, sorted(consts)))
     return out
+
+
+def minimal_hitting_sets_bb(family: Iterable[Collection]) -> tuple[frozenset, ...]:
+    """Same result as vud.hitting.minimal_hitting_sets via branch and bound:
+    branch on the elements of a smallest unhit member, prune supersets of
+    solutions."""
+    fam = [frozenset(s) for s in family if s]
+    found: list[frozenset] = []
+
+    def search(partial: frozenset) -> None:
+        if any(f <= partial for f in found):
+            return
+        unhit = [s for s in fam if not s & partial]
+        if not unhit:
+            found.append(partial)
+            # a new solution can make earlier supersets non-minimal
+            found[:] = [f for f in found if not partial < f]
+            return
+        pivot = min(unhit, key=lambda s: (len(s), sorted(s)))
+        for elem in sorted(pivot):
+            search(partial | {elem})
+
+    search(frozenset())
+    dedup = []
+    for f in sorted(found, key=lambda s: (len(s), sorted(s))):
+        if f not in dedup and not any(g <= f and g != f for g in dedup):
+            dedup.append(f)
+    return tuple(dedup)
+
+
+def edb_cuts(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> tuple[frozenset[Atom], ...]:
+    """Deletion candidates the explanation way: pick one stored fact out of
+    every proof, then keep the subset-minimal picks.  Agrees with the
+    tableau route of vud.deletion.deletion_candidates."""
+    family = local_explanations(db, atom, model)
+    if not family:
+        return ()
+    picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}
+    return tuple(minimal_members(picks))

@@ -79,6 +79,16 @@ def test_update_unrealizable_exits_2(capsys):
     assert "cannot realise" in err
 
 
+def test_update_out_of_budget_exits_2(tmp_path, capsys, budget_probe_text):
+    path = tmp_path / "probe.dl"
+    path.write_text(budget_probe_text)
+    code, out, err = run(capsys, "update", str(path), "--insert", "v3(b,a)")
+    assert code == 2
+    assert out == ""
+    assert "search budget ran out" in err
+    assert "Traceback" not in err
+
+
 def test_unstratifiable_exits_3(tmp_path, capsys):
     path = tmp_path / "cyc.dl"
     path.write_text("p :- not q, a.\nq :- not p, a.\na.\n")

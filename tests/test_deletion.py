@@ -14,7 +14,6 @@ from vud.deletion import (
     delete_request,
     deletion_candidates,
     deletion_program,
-    edb_cuts,
     materialized_program,
     strongly_minimal,
     transform_rules,
@@ -23,7 +22,7 @@ from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
 from vud.semantics import least_model
 
-from oracles import clause_models, minimal_sets, naive_model, saturated_sets
+from oracles import clause_models, edb_cuts, minimal_sets, naive_model, saturated_sets
 from strategies import dbs_with_derivable_goal
 
 DATA = Path(__file__).resolve().parents[1] / "data"

@@ -114,6 +114,22 @@ def test_unrealizable_carries_trace(basic):
     assert any("insert p" in line for line in err.value.trace)
 
 
+def test_unrealizable_trace_names_goal_without_candidates():
+    db = Database.parse("p :- a.\n:- a.\n")
+    with pytest.raises(UnrealizableError) as err:
+        view_update(db, UpdateRequest(inserts=(Atom("p"),)))
+    assert err.value.trace == ("insert p: no candidate change",)
+    assert not err.value.exhausted
+
+
+def test_exhausted_search_is_reported_not_raised(budget_probe_text):
+    db = Database.parse(budget_probe_text)
+    with pytest.raises(UnrealizableError) as err:
+        view_update(db, UpdateRequest(inserts=(Atom("v3", ("b", "a")),)))
+    assert err.value.exhausted
+    assert "insert v3(b,a): no candidate change, the search budget ran out" in err.value.trace
+
+
 def test_empty_request_repairs_constraints():
     db = Database.parse("a.\nb.\n:- b.\n")
     result = view_update(db, UpdateRequest())

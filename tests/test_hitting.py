@@ -5,7 +5,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vud.hitting import is_hitting_set, minimal_hitting_sets, minimal_hitting_sets_bb
+from vud.hitting import is_hitting_set, minimal_hitting_sets
+
+from oracles import minimal_hitting_sets_bb
 
 
 def fs(*xs):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 
 from vud.deletion import deletion_candidates
 from vud.insertion import insertion_candidates
-from vud.lang import Atom, Database, Transaction
+from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
 from vud.revision import (
     CONTRACTION_GUARANTEES,
     REVISION_GUARANTEES,
@@ -74,14 +74,14 @@ def test_kernel_rejects_unknown_operation(basic):
 
 def test_repair_removes_flagged_fact():
     db = Database.parse("a.\nb.\n:- b.\n")
-    outcome = repair_constraints(db, all_solutions=True)
+    outcome = repair_constraints(db)
     assert outcome.transactions == (Transaction(frozenset(), atoms("b")),)
     assert not outcome.exhausted
 
 
 def test_repair_offers_both_routes():
     db = Database.parse(":- a, not b.\na.\n")
-    outcome = repair_constraints(db, all_solutions=True)
+    outcome = repair_constraints(db)
     assert outcome.transactions == (
         Transaction(frozenset(), atoms("a")),
         Transaction(atoms("b"), frozenset()),
@@ -90,13 +90,13 @@ def test_repair_offers_both_routes():
 
 def test_repair_unfolds_view_atoms():
     db = Database.parse("p :- a.\na.\n:- p.\n")
-    outcome = repair_constraints(db, all_solutions=True)
+    outcome = repair_constraints(db)
     assert outcome.transactions == (Transaction(frozenset(), atoms("a")),)
 
 
 def test_repair_inserts_through_views():
     db = Database.parse("p :- b.\n:- a, not p.\na.\n")
-    outcome = repair_constraints(db, all_solutions=True)
+    outcome = repair_constraints(db)
     assert outcome.transactions == (
         Transaction(frozenset(), atoms("a")),
         Transaction(atoms("b"), frozenset()),
@@ -111,8 +111,10 @@ def test_repair_respects_protection():
 
 
 def test_repair_reports_exhaustion():
-    db = Database.parse("b.\n:- b.\n")
-    outcome = repair_constraints(db, max_depth=0)
+    # each round disarms one denial, and nine take more rounds than the
+    # shared limit allows
+    text = "".join("a%d.\n:- a%d.\n" % (i, i) for i in range(1, MAX_ROUNDS + 2))
+    outcome = repair_constraints(Database.parse(text))
     assert outcome.transactions == ()
     assert outcome.exhausted
 

@@ -178,6 +178,20 @@ def test_render_proof_tree():
     assert text.splitlines()[0] == "p"
 
 
+def test_deep_chain_proof_tree_within_recursion_limit():
+    # one proof level per link: deeper than the default recursion limit
+    n = 1000
+    text = "".join("p%d :- a%d, p%d.\n" % (i, i, i + 1) for i in range(n))
+    text += "p%d :- a%d.\n" % (n, n) + "".join("a%d.\n" % i for i in range(n + 1))
+    db = Database.parse(text)
+    tree = build_proof_tree(db, Atom("p0"))
+    assert tree.success_sets() == (frozenset(Atom("a%d" % i) for i in range(n + 1)),)
+    lines = render_proof_tree(tree).splitlines()
+    assert lines[0] == "p0"
+    assert lines[1] == "  a0, p1"
+    assert lines[-1] == "  " * (2 * n + 2) + "[] (success)"
+
+
 def test_literal_holds():
     model = atoms("a")
     assert literal_holds(Literal(Atom("a")), model)
