@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lang import Atom, Database, Literal, Rule, unique
-from .semantics import fixpoint_model, least_model, reduct
+from .lang import EQ, Atom, Database, Literal, Rule, unique
+from .semantics import firing_instances, fixpoint_model, least_model, reduct
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,8 @@ def deletion_program(db: Database, model: frozenset[Atom] | None = None) -> tupl
     if model is None:
         model = least_model(db)
     fired = [
-        r
-        for r in reduct(db.idb, model, db.universe())
-        if all(l.atom in model for l in r.body)
+        Rule(r.head, tuple(l for l in r.body if not l.negated and l.atom.pred != EQ))
+        for r in firing_instances(db.idb, model, db.universe())
     ]
     return transform_rules(fired, model)
 

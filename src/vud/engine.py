@@ -258,7 +258,7 @@ def view_update(
             if (goal in model) != (kind == "insert"):
                 failure = "%s %s not achieved" % (kind, goal)
                 return lambda: extend(tx, family(after, kind, goal), failure)
-        violated = check_ic(after)
+        violated = check_ic(after, model)
         if violated:
             return lambda: extend(tx, repairs(tx, after), "violates '%s'" % violated[0])
         return None

@@ -13,8 +13,10 @@ underscore is a variable, anything else is a constant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -28,9 +30,10 @@ def is_variable(term: str) -> bool:
     return term[0].isupper() or term[0] == "_"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
-    """A predicate applied to a tuple of terms."""
+    """A predicate applied to a tuple of terms.  Slotted, as are literals:
+    loaded programs hold many of both."""
 
     pred: str
     args: tuple[str, ...] = ()
@@ -53,7 +56,7 @@ class Atom:
         return Atom(self.pred, tuple(theta.get(a, a) for a in self.args))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     """An atom or its negation, as it occurs in a rule body."""
 
@@ -256,6 +259,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             raise ParseError("unexpected character %r" % text[pos], line, pos - bol + 1)
         kind = m.lastgroup or ""
         value = m.group()
+        if kind == "name":
+            # one string object per distinct name: a loaded program repeats
+            # its predicates, variables and constants many times over
+            value = sys.intern(value)
         if kind not in ("ws", "comment"):
             tokens.append((kind, value, line, pos - bol + 1))
         nl = value.count("\n")
@@ -389,11 +396,14 @@ class Database:
         with open(path, encoding="utf-8") as fh:
             return cls.parse(fh.read())
 
-    @property
+    # The derivations below are computed on first use and kept on the
+    # instance; they are not fields, so equality and hashing ignore them.
+
+    @functools.cached_property
     def view_predicates(self) -> frozenset[str]:
         return frozenset(r.head.pred for r in self.idb if r.head is not None)
 
-    @property
+    @functools.cached_property
     def base_predicates(self) -> frozenset[str]:
         preds: set[str] = {a.pred for a in self.edb}
         for r in self.rules:
@@ -402,13 +412,17 @@ class Database:
         return frozenset(preds - self.view_predicates - {EQ})
 
     def universe(self) -> frozenset[str]:
-        consts: set[str] = set()
+        return self._universe
+
+    @functools.cached_property
+    def _universe(self) -> frozenset[str]:
+        terms: set[str] = set()
         for r in self.rules:
             if r.head is not None:
-                consts.update(a for a in r.head.args if not is_variable(a))
+                terms.update(r.head.args)
             for lit in r.body:
-                consts.update(a for a in lit.atom.args if not is_variable(a))
-        return frozenset(consts)
+                terms.update(lit.atom.args)
+        return frozenset(t for t in terms if not is_variable(t))
 
     def with_edb(self, facts: Iterable[Atom]) -> "Database":
         """Same rules and constraints over a replaced set of base facts."""

@@ -25,8 +25,8 @@ from .explain import (
 )
 from .hitting import minimal_hitting_sets
 from .insertion import disarm_steps, insertion_candidates
-from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first, ground_program
-from .semantics import body_holds, check_ic, fixpoint_model, least_model
+from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first
+from .semantics import check_ic, firing_instances, fixpoint_model, least_model
 
 
 def kernel_change(
@@ -132,9 +132,10 @@ def _finalize(
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
-        if (atom in least_model(after)) != want_derivable:
+        model = least_model(after)
+        if (atom in model) != want_derivable:
             return list  # a dead end: no children
-        if not check_ic(after):
+        if not check_ic(after, model):
             return None
         if depth > 0:
             return list
@@ -161,7 +162,7 @@ def revise(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     """Fact changes after which atom is derivable and the constraints
     hold, smallest first."""
     model = least_model(db)
-    if atom in model and not check_ic(db):
+    if atom in model and not check_ic(db, model):
         return (Transaction(),)
     return _finalize(db, atom, kernel_change(db, atom, "insert", model=model), True)
 
@@ -204,11 +205,7 @@ def derivable_without_facts(db: Database, atom: Atom) -> bool:
 
 
 def closed_under_rules(db: Database, model: frozenset[Atom]) -> bool:
-    for r in ground_program(db.idb, db.universe()):
-        if r.head is not None and r.body and body_holds(r.body, model):
-            if r.head not in model:
-                return False
-    return True
+    return all(r.head in model for r in firing_instances(db.idb, model, db.universe()))
 
 
 def rationality_report(
@@ -242,7 +239,7 @@ def rationality_report(
     report["immutable-inclusion"] = (
         after_db.idb == db.idb and after_db.ic == db.ic
     )
-    report["consistency"] = not check_ic(after_db)
+    report["consistency"] = not check_ic(after_db, after)
     if operation == "delete":
         report["weak-success"] = atom not in after or derivable_without_facts(db, atom)
         report["inclusion"] = not tx.additions
@@ -259,7 +256,7 @@ def rationality_report(
     else:
         report["weak-success"] = atom in after
         report["inclusion"] = tx.additions <= missing_union(db, atom)
-        report["vacuity"] = atom not in before or bool(check_ic(db)) or tx.is_empty
+        report["vacuity"] = atom not in before or bool(check_ic(db, before)) or tx.is_empty
         report["weak-relevance"] = report["inclusion"]
         pivotal = True
         for a in sorted(tx.additions):

@@ -1,17 +1,37 @@
-"""Model computation and goal-directed proof trees.
+"""Model computation, constraint checks and goal-directed proof trees.
 
 The model of a database is the perfect model of its stratified rules: strata
 are evaluated bottom up, each by semi-naive iteration, with negative literals
-looked up in the finished lower strata.  Proof search is resolution over the
-ground program with leftmost literal selection; view atoms unfold through
-every matching rule in program order, base atoms resolve against the stored
-facts, and negative literals are settled against the model.
+looked up in the finished lower strata.  Rules are evaluated as joins, not
+grounded: a rule body's positive literals are joined left to right through
+hash indexes on their bound argument positions, negated and eq literals are
+tested once every variable is bound, and a variable no positive literal
+binds ranges over the constant universe.  After a stratum's first round,
+only rules with a subgoal whose predicate gained atoms are joined again,
+reading that subgoal from the new atoms.  Compiled rule sets are kept for
+the few databases in use, keyed by the identities of their rules.
+
+Constraint checks, the rules that fire in a model (deletion_program,
+closed_under_rules) and the model itself come out of the same evaluator.
+Instances are listed in the order grounding over the universe would list
+them, so a constraint check's first violation does not depend on how the
+model was computed.  Only the reduct (every ground instance, firing or not)
+and proof trees still ground over the universe.
+
+Proof search is resolution over the ground program with leftmost literal
+selection; view atoms unfold through every matching rule in program order,
+base atoms resolve against the stored facts, and negative literals are
+settled against the model.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .lang import (
     EQ,
@@ -36,18 +56,364 @@ def literal_holds(lit: Literal, model: frozenset[Atom] | set[Atom]) -> bool:
     return (lit.atom in model) != lit.negated
 
 
-def body_holds(body: Iterable[Literal], model: frozenset[Atom] | set[Atom]) -> bool:
-    return all(literal_holds(l, model) for l in body)
+# A term compiled against a rule's variable slots: (slot, variable) for a
+# variable, (-1, constant) for a constant.
+_Term = tuple[int, str]
+_Key = tuple[str, int]  # predicate and arity
+_Rows = set[tuple[str, ...]]
 
 
-def _collect_constants(rules: Iterable[Rule], facts: Iterable[Atom]) -> set[str]:
-    consts: set[str] = set()
-    for r in rules:
-        for a in ([r.head] if r.head is not None else []) + [l.atom for l in r.body]:
-            consts.update(t for t in a.args if not is_variable(t))
-    for a in facts:
-        consts.update(a.args)
-    return consts
+def _values(binding: tuple[str, ...], terms: tuple[_Term, ...]) -> tuple[str, ...]:
+    return tuple([binding[s] if s >= 0 else c for s, c in terms])
+
+
+# Index keys are what operator.itemgetter returns for the key positions: a
+# bare value for one position, a tuple for several.
+
+
+def _getter(positions: list[int]) -> Callable[[tuple[str, ...]], object] | None:
+    return itemgetter(*positions) if positions else None
+
+
+def _probe(binding: tuple[str, ...], terms: tuple[_Term, ...]) -> object:
+    if len(terms) == 1:
+        s, c = terms[0]
+        return binding[s] if s >= 0 else c
+    return _values(binding, terms)
+
+
+def _picker(positions: list[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """A function from an argument tuple to its values at the positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
+        return lambda args: (args[p],)
+    return _nothing
+
+
+def _nothing(args: tuple[str, ...]) -> tuple[str, ...]:
+    return ()
+
+
+class _Plan:
+    """One rule compiled for joining.
+
+    The positive ordinary body literals are joined left to right, except
+    that the literal at position first (when given) is read from the delta
+    and joined before the others.  Each join step binds the variables it
+    meets first; variables no step binds are enumerated over the universe.
+    Negated and eq literals are tested once every variable is bound.
+    """
+
+    __slots__ = ("first", "steps", "free", "tests", "head", "order")
+
+    def __init__(self, rule: Rule, first: int | None = None):
+        slots: dict[str, int] = {}
+        steps = []
+        tested = []
+        body = list(rule.body)
+        if first is not None:
+            body.insert(0, body.pop(first))
+        for lit in body:
+            atom = lit.atom
+            if lit.negated or atom.pred == EQ:
+                tested.append(lit)
+                continue
+            key = (atom.pred, len(atom.args))
+            if not atom.args:
+                steps.append((key, (), (), None, _nothing, ()))
+                continue
+            positions, terms, outs, repeats = [], [], [], []
+            seen: dict[str, int] = {}
+            for p, t in enumerate(atom.args):
+                if t in slots:
+                    positions.append(p)
+                    terms.append((slots[t], t))
+                elif not is_variable(t):
+                    positions.append(p)
+                    terms.append((-1, t))
+                elif t in seen:
+                    repeats.append((p, seen[t]))
+                else:
+                    seen[t] = p
+                    outs.append(p)
+            for t in seen:
+                slots[t] = len(slots)
+            steps.append((key, tuple(terms), tuple(positions), _getter(positions), _picker(outs), tuple(repeats)))
+        rest = [l.atom for l in tested]
+        if rule.head is not None:
+            rest.append(rule.head)
+        free = sorted({t for a in rest for t in a.args if t not in slots and is_variable(t)})
+        for t in free:
+            slots[t] = len(slots)
+        self.first = first
+        self.steps = tuple(steps)
+        self.free = len(free)
+        self.tests = tuple(
+            ((l.atom.pred, len(l.atom.args)), l.negated, tuple([(slots.get(t, -1), t) for t in l.atom.args]))
+            for l in tested
+        )
+        head = rule.head
+        self.head = None if head is None else ((head.pred, len(head.args)), tuple([(slots.get(t, -1), t) for t in head.args]))
+        self.order = tuple([slots[t] for t in sorted(slots)])
+
+
+class _Program:
+    """A rule sequence prepared for joining.
+
+    Up front it records each rule's positive ordinary subgoals (body
+    position, predicate and arity); plans, the rules' constants and the
+    strata are built on first use.  It holds no reference to the rules,
+    which callers pass in again.
+    """
+
+    __slots__ = ("uses", "refs", "_plans", "_delta", "_consts", "_strata")
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        self.uses = tuple([
+            tuple([(i, (l.atom.pred, len(l.atom.args))) for i, l in enumerate(r.body) if not l.negated and l.atom.pred != EQ])
+            for r in rules
+        ])
+        self.refs: list[weakref.ref[Rule]] = []
+        self._plans: list[_Plan | None] = [None] * len(rules)
+        self._delta: dict[tuple[int, int], _Plan] = {}
+        self._consts: frozenset[str] | None = None
+        self._strata: list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]] | None = None
+
+    def plan(self, rules: tuple[Rule, ...], n: int, position: int | None = None) -> _Plan:
+        """Rule n's plan, reading the literal at position from the delta
+        when one is given.  A rule without variables has a single instance,
+        so joining it against the whole model does the same work."""
+        plan = self._plans[n]
+        if plan is None:
+            plan = self._plans[n] = _Plan(rules[n])
+        if position is None or not plan.order:
+            return plan
+        delta = self._delta.get((n, position))
+        if delta is None:
+            delta = self._delta[n, position] = _Plan(rules[n], position)
+        return delta
+
+    def constants(self, rules: tuple[Rule, ...]) -> frozenset[str]:
+        if self._consts is None:
+            self._consts = frozenset(
+                t
+                for r in rules
+                for a in ([r.head] if r.head is not None else []) + [l.atom for l in r.body]
+                for t in a.args
+                if not is_variable(t)
+            )
+        return self._consts
+
+    def strata(self, rules: tuple[Rule, ...]) -> list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]]:
+        """Per stratum, lowest first: its rules, and for each predicate the
+        (rule, body position) pairs where one of those rules uses it
+        positively.  A program that negates no predicate it defines is a
+        single stratum."""
+        if self._strata is None:
+            heads = {r.head.pred for r in rules}  # type: ignore[union-attr]
+            if any(l.negated and l.atom.pred in heads for r in rules for l in r.body):
+                level = {p: i for i, stratum in enumerate(stratify(rules)) for p in stratum}
+            else:
+                level = dict.fromkeys(heads, 0)
+            self._strata = [([], {}) for _ in range(max(level.values(), default=-1) + 1)]
+            for n, rule in enumerate(rules):
+                s_idx = level[rule.head.pred]  # type: ignore[union-attr]
+                members, feeds = self._strata[s_idx]
+                members.append(n)
+                for i, key in self.uses[n]:
+                    if level.get(key[0]) == s_idx:
+                        feeds.setdefault(key, []).append((n, i))
+        return self._strata
+
+
+# Prepared programs keyed by the identities of their rules, least recently
+# used first.  An entry is dropped as soon as one of its rules is, so no
+# identity in a live key can belong to another object, and a dropped
+# database's program goes with it.  A request reuses a handful of programs
+# (its database's rules and constraints) across every candidate it checks.
+_COMPILED: OrderedDict[tuple[int, ...], _Program] = OrderedDict()
+_COMPILED_MAX = 16
+
+
+def _compiled(rules: tuple[Rule, ...]) -> _Program:
+    key = tuple(map(id, rules))
+    program = _COMPILED.get(key)
+    if program is not None:
+        _COMPILED.move_to_end(key)
+        return program
+    program = _COMPILED[key] = _Program(rules)
+
+    def forget(_: weakref.ref[Rule]) -> None:
+        _COMPILED.pop(key, None)
+
+    program.refs = [weakref.ref(r, forget) for r in rules]
+    if len(_COMPILED) > _COMPILED_MAX:
+        _COMPILED.popitem(last=False)
+    return program
+
+
+class _Joins:
+    """Atoms stored as argument tuples per predicate and arity, joined
+    through hash indexes on bound argument positions.
+
+    An index is built the first time a join step asks for its positions and
+    kept up to date as atoms are added; everything lives for one call.
+    Variables range over the universe, as they would when grounding over
+    it: a binding that takes a value outside the universe from a stored
+    atom is dropped.  Without a universe, the constants of the atoms and the
+    rule constants consts make it up.
+    """
+
+    def __init__(self, atoms: Iterable[Atom], consts: frozenset[str], universe: Iterable[str] | None = None):
+        self.rows: dict[_Key, _Rows] = {}
+        self._indexes: dict[_Key, dict[tuple[int, ...], tuple[Callable, dict[object, list[tuple[str, ...]]]]]] = {}
+        for a in atoms:
+            args = a.args
+            key = (a.pred, len(args))
+            rows = self.rows.get(key)
+            if rows is None:
+                self.rows[key] = {args}
+            else:
+                rows.add(args)
+        self._consts = consts
+        self._outside: frozenset[str] = frozenset()
+        self._universe: list[str] | None = None
+        if universe is not None:
+            self._universe = sorted(set(universe))
+            self._outside = (self._stored_constants() | consts).difference(self._universe)
+
+    def _stored_constants(self) -> set[str]:
+        return {c for rows in self.rows.values() for args in rows for c in args}
+
+    def empty(self, uses: tuple[tuple[int, _Key], ...]) -> bool:
+        """Does some positive subgoal have no atoms to join with?"""
+        rows = self.rows
+        return any(not rows.get(key) for _, key in uses)
+
+    def add(self, key: _Key, args: tuple[str, ...]) -> None:
+        self.rows.setdefault(key, set()).add(args)
+        for keyof, index in self._indexes.get(key, {}).values():
+            index.setdefault(keyof(args), []).append(args)
+
+    def _index(self, key: _Key, positions: tuple[int, ...], keyof: Callable) -> dict[object, list[tuple[str, ...]]]:
+        by_positions = self._indexes.setdefault(key, {})
+        known = by_positions.get(positions)
+        if known is not None:
+            return known[1]
+        index: dict[object, list[tuple[str, ...]]] = {}
+        for args in self.rows.get(key, ()):
+            index.setdefault(keyof(args), []).append(args)
+        by_positions[positions] = (keyof, index)
+        return index
+
+    def bindings(self, plan: _Plan, delta: dict[_Key, _Rows] | None = None) -> list[tuple[str, ...]]:
+        """Every binding of the plan's variables, in slot order, under which
+        its body holds; a delta plan's first step reads the delta."""
+        outside = self._outside
+        found: list[tuple[str, ...]] = [()]
+        for n, (key, terms, positions, keyof, pick, repeats) in enumerate(plan.steps):
+            index = None
+            if n == 0:
+                # nothing is bound yet, so every key term is a constant and
+                # one scan beats building an index for a single probe
+                rows = self.rows if plan.first is None else delta
+                source: Iterable[tuple[str, ...]] = rows.get(key, ())  # type: ignore[union-attr]
+                if keyof is not None:
+                    want = _probe((), terms)
+                    source = [args for args in source if keyof(args) == want]
+            elif keyof is not None:
+                index = self._index(key, positions, keyof)
+            else:
+                source = self.rows.get(key, ())
+            grown = []
+            for b in found:
+                if index is not None:
+                    source = index.get(_probe(b, terms), ())
+                for args in source:
+                    if repeats and any(args[p] != args[q] for p, q in repeats):
+                        continue
+                    new = pick(args)
+                    if outside and not outside.isdisjoint(new):
+                        continue
+                    grown.append(b + new)
+            found = grown
+            if not found:
+                return found
+        if plan.free:
+            if self._universe is None:
+                self._universe = sorted(self._stored_constants() | self._consts)
+            combos = list(itertools.product(self._universe, repeat=plan.free))
+            found = [b + combo for b in found for combo in combos]
+        for key, negated, terms in plan.tests:
+            if key[0] == EQ:
+                (s, c), (t, d) = terms
+                found = [b for b in found if ((b[s] if s >= 0 else c) == (b[t] if t >= 0 else d)) != negated]
+            else:
+                rows = self.rows.get(key, set())
+                found = [b for b in found if (_values(b, terms) in rows) != negated]
+        return found
+
+    def instances(self, program: _Program, rules: tuple[Rule, ...]) -> list[Rule]:
+        """Ground instances whose body holds, rule by rule, each rule's in
+        the order grounding lists them: by value tuple over its sorted
+        variables."""
+        out: list[Rule] = []
+        for n, rule in enumerate(rules):
+            if self.empty(program.uses[n]):
+                continue
+            plan = program.plan(rules, n)
+            found = self.bindings(plan)
+            if not found:
+                continue
+            names = sorted(rule.variables())
+            for values in sorted(tuple([b[s] for s in plan.order]) for b in found):
+                out.append(rule.substitute(dict(zip(names, values))))
+        return out
+
+    def saturate(self, program: _Program, rules: tuple[Rule, ...]) -> list[Atom]:
+        """Derive to fixpoint, stratum by stratum; the new atoms.
+
+        The first round of a stratum joins each of its rules against
+        everything stored, later rounds only the rules fed by the atoms the
+        round before derived, reading the feeding subgoal from those.  A
+        rule with a subgoal that has no atoms is skipped: it cannot fire.
+        """
+        derived: list[Atom] = []
+        for members, feeds in program.strata(rules):
+            todo = [(n, None) for n in members]
+            delta: dict[_Key, _Rows] | None = None
+            while todo:
+                new: dict[_Key, _Rows] = {}
+                for n, position in todo:
+                    if self.empty(program.uses[n]):
+                        continue
+                    plan = program.plan(rules, n, position)
+                    key, terms = plan.head  # type: ignore[misc]
+                    known = self.rows.get(key, ())
+                    for b in self.bindings(plan, delta):
+                        args = _values(b, terms)
+                        if args not in known:
+                            new.setdefault(key, set()).add(args)
+                for key, rows in new.items():
+                    for args in rows:
+                        self.add(key, args)
+                        derived.append(Atom(key[0], args))
+                delta = new
+                todo = [fed for key in new for fed in feeds.get(key, ())]
+        return derived
+
+
+def firing_instances(
+    rules: Iterable[Rule], model: frozenset[Atom], universe: Iterable[str]
+) -> tuple[Rule, ...]:
+    """Ground instances of the rules over the universe whose body holds in
+    the model, rule by rule, each rule's in the order ground_program lists
+    them."""
+    rules = tuple(rules)
+    program = _compiled(rules)
+    return tuple(_Joins(model, program.constants(rules), universe).instances(program, rules))
 
 
 def fixpoint_model(
@@ -57,48 +423,17 @@ def fixpoint_model(
 ) -> frozenset[Atom]:
     """Perfect model of the given rules over the given facts.
 
-    Rules are grounded eagerly, stratified by predicate, and each stratum is
-    run to fixpoint semi-naively: after the first round a rule refires only
-    when one of its same-stratum positive subgoals was derived in the
-    previous round.
+    Variables range over the universe, by default the constants of the
+    rules and facts.  Strata are evaluated bottom up, each semi-naively:
+    the first round joins every rule of the stratum against the model, and
+    each later round joins only the rules with a same-stratum positive
+    subgoal whose predicate gained atoms in the round before, reading that
+    subgoal from those new atoms.
     """
     rules = tuple(r for r in rules if r.head is not None and r.body)
-    facts = set(facts)
-    consts = set(universe) if universe is not None else _collect_constants(rules, facts)
-    ground = ground_program(rules, consts)
-    strata = stratify(rules)
-    level = {p: i for i, s in enumerate(strata) for p in s}
-    model: set[Atom] = set(facts)
-    for s_idx, stratum in enumerate(strata):
-        s_rules = []
-        for r in ground:
-            assert r.head is not None
-            if r.head.pred not in stratum:
-                continue
-            same = tuple(
-                l.atom
-                for l in r.body
-                if not l.negated and l.atom.pred != EQ and level.get(l.atom.pred, 0) == s_idx
-            )
-            s_rules.append((r, same))
-        delta: set[Atom] = set()
-        first = True
-        while True:
-            new: set[Atom] = set()
-            for r, same in s_rules:
-                if not first and (not same or not any(a in delta for a in same)):
-                    continue
-                assert r.head is not None
-                if r.head in model or r.head in new:
-                    continue
-                if body_holds(r.body, model):
-                    new.add(r.head)
-            if not new:
-                break
-            model |= new
-            delta = new
-            first = False
-    return frozenset(model)
+    program = _compiled(rules)
+    facts = frozenset(facts)
+    return facts.union(_Joins(facts, program.constants(rules), universe).saturate(program, rules))
 
 
 def least_model(db: Database) -> frozenset[Atom]:
@@ -108,16 +443,16 @@ def least_model(db: Database) -> frozenset[Atom]:
 def check_ic(db: Database, model: frozenset[Atom] | None = None) -> tuple[Rule, ...]:
     """Ground instances of denial constraints whose body holds in the model.
 
+    Variables range over the constants of the model and the clauses, and
+    instances come denial by denial in the order ground_program lists them,
+    so the first violation is the same however the model was computed.
     Empty result means every constraint is satisfied.
     """
+    if not db.ic:
+        return ()
     if model is None:
         model = least_model(db)
-    consts = _collect_constants(db.rules, model)
-    violated = []
-    for denial in ground_program(db.ic, consts):
-        if body_holds(denial.body, model):
-            violated.append(denial)
-    return tuple(violated)
+    return tuple(_Joins(model, db.universe()).instances(_compiled(db.ic), db.ic))
 
 
 def reduct(rules: Sequence[Rule], model: frozenset[Atom], universe: Iterable[str]) -> tuple[Rule, ...]:
@@ -226,7 +561,9 @@ def build_proof_tree(
         model = least_model(db)
     view = db.view_predicates
     consts = db.universe() | set(goal.args)
-    ground_idb = ground_program(db.idb, consts)
+    rules_for: dict[Atom, list[Rule]] = {}
+    for r in ground_program(db.idb, consts):
+        rules_for.setdefault(r.head, []).append(r)  # type: ignore[arg-type]
 
     # each pending literal carries the chain of view atoms it descends from,
     # so a repeated subgoal is a loop only on its own derivation path and a
@@ -256,8 +593,7 @@ def build_proof_tree(
                 deeper = chain | {a}
                 below = [
                     (tuple((b, deeper) for b in r.body) + rest, used, assumed)
-                    for r in ground_idb
-                    if r.head == a
+                    for r in rules_for.get(a, ())
                 ]
             elif a in db.edb:
                 below = [(rest, used | {a}, assumed)]

@@ -3,7 +3,10 @@
 Everything here favours the most obvious exhaustive formulation over speed:
 naive ground iteration instead of incremental evaluation, guess-and-check
 over subsets instead of goal-directed search.  Tests freeze values computed
-by these against the real implementations.  The last two are second
+by these against the real implementations.  The grounded_* functions are
+the Herbrand-grounding evaluation that the join evaluator replaced, kept so
+the tests can check that both give the same models, the same violations
+and the same clauses in the same order.  The last two are second
 formulations of a production function that production does not call; the
 tests check that both formulations agree.
 """
@@ -14,8 +17,10 @@ import itertools
 from collections import deque
 from typing import Collection, Iterable, Sequence
 
+from vud.deletion import Clause, transform_rules
 from vud.explain import local_explanations, minimal_members
-from vud.lang import EQ, Atom, Database, Literal, Rule, is_variable
+from vud.lang import EQ, Atom, Database, Literal, Rule, ground_program, is_variable, stratify
+from vud.semantics import reduct
 
 
 def _ground_instances(rule: Rule, consts: Sequence[str]) -> list[Rule]:
@@ -101,6 +106,77 @@ def naive_model(rules: Sequence[Rule], facts: Iterable[Atom]) -> frozenset[Atom]
             if not added:
                 break
     return frozenset(model)
+
+
+def _constants(rules: Iterable[Rule], facts: Iterable[Atom]) -> set[str]:
+    consts: set[str] = set()
+    for r in rules:
+        for a in ([r.head] if r.head is not None else []) + [l.atom for l in r.body]:
+            consts.update(t for t in a.args if not is_variable(t))
+    for a in facts:
+        consts.update(a.args)
+    return consts
+
+
+def grounded_fixpoint_model(
+    rules: Sequence[Rule], facts: Iterable[Atom], universe: Iterable[str] | None = None
+) -> frozenset[Atom]:
+    """Perfect model over the rules grounded eagerly on the universe, each
+    stratum run semi-naively over the ground instances."""
+    rules = tuple(r for r in rules if r.head is not None and r.body)
+    facts = set(facts)
+    consts = set(universe) if universe is not None else _constants(rules, facts)
+    ground = ground_program(rules, consts)
+    strata = stratify(rules)
+    level = {p: i for i, s in enumerate(strata) for p in s}
+    model: set[Atom] = set(facts)
+    for s_idx, stratum in enumerate(strata):
+        s_rules = []
+        for r in ground:
+            assert r.head is not None
+            if r.head.pred not in stratum:
+                continue
+            same = tuple(
+                l.atom
+                for l in r.body
+                if not l.negated and l.atom.pred != EQ and level.get(l.atom.pred, 0) == s_idx
+            )
+            s_rules.append((r, same))
+        delta: set[Atom] = set()
+        first = True
+        while True:
+            new: set[Atom] = set()
+            for r, same in s_rules:
+                if not first and (not same or not any(a in delta for a in same)):
+                    continue
+                assert r.head is not None
+                if r.head in model or r.head in new:
+                    continue
+                if _body_holds(r.body, model):
+                    new.add(r.head)
+            if not new:
+                break
+            model |= new
+            delta = new
+            first = False
+    return frozenset(model)
+
+
+def grounded_check_ic(db: Database, model: frozenset[Atom]) -> tuple[Rule, ...]:
+    """Ground denial instances whose body holds, in grounding order."""
+    consts = _constants(db.rules, model)
+    return tuple(d for d in ground_program(db.ic, consts) if _body_holds(d.body, set(model)))
+
+
+def grounded_deletion_program(db: Database, model: frozenset[Atom]) -> tuple[Clause, ...]:
+    """Contrapositives of the ground rules that fire, found by grounding
+    every rule over the universe and keeping the instances that hold."""
+    fired = [
+        r
+        for r in reduct(db.idb, model, db.universe())
+        if all(l.atom in model for l in r.body)
+    ]
+    return transform_rules(fired, model)
 
 
 def stable_models(rules: Sequence[Rule], facts: Iterable[Atom]) -> list[frozenset[Atom]]:

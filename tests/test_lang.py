@@ -56,6 +56,15 @@ def test_parse_staff_eq_head_becomes_denial():
     assert db.universe() == {"infor1", "infor2", "matthias", "gerhard", "delhibabu", "aravindan"}
 
 
+def test_database_derivations_computed_once():
+    db = Database.load(str(DATA / "staff.dl"))
+    twin = Database.load(str(DATA / "staff.dl"))
+    for derive in (Database.universe, lambda d: d.view_predicates, lambda d: d.base_predicates):
+        assert derive(db) is derive(db)
+    # kept derivations take no part in equality or hashing
+    assert db == twin and hash(db) == hash(twin)
+
+
 def test_round_trip_on_files():
     for name in ("basic.dl", "staff.dl"):
         db = Database.load(str(DATA / name))
