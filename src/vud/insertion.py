@@ -260,6 +260,7 @@ def insertion_worlds(
     deletes: Iterable[Atom] = (),
     model: frozenset[Atom] | None = None,
     log: SearchLog | None = None,
+    normalized: tuple[Rule, ...] | None = None,
 ) -> tuple[frozenset[Atom], ...]:
     """Finished delta worlds for the request, breadth first.
 
@@ -267,12 +268,14 @@ def insertion_worlds(
     deltas expanded away; its base-level part is a candidate transaction.
     A world search has no round limit, only the state limit: a stop there
     is marked on the log and the worlds finished so far are returned.
+    A caller that already holds normalize_rules(db.idb) passes it along.
     """
     if model is None:
         model = least_model(db)
     if log is None:
         log = SearchLog()
-    normalized = normalize_rules(db.idb)
+    if normalized is None:
+        normalized = normalize_rules(db.idb)
     defs = view_definitions(normalized)
     norm_model = fixpoint_model(normalized, db.edb, db.universe())
     universe = tuple(sorted(db.universe()))
@@ -344,8 +347,8 @@ def _world_transactions(
     db: Database, atom: Atom, model: frozenset[Atom], log: SearchLog
 ) -> tuple[Transaction, ...]:
     """Base transactions of the delta worlds for one insertion, unverified."""
-    worlds = insertion_worlds(db, [atom], model=model, log=log)
     normalized = normalize_rules(db.idb)
+    worlds = insertion_worlds(db, [atom], model=model, log=log, normalized=normalized)
     defined = {r.head.pred for r in normalized if r.head is not None}
     base_preds = frozenset(
         l.atom.pred

@@ -6,9 +6,11 @@ over subsets instead of goal-directed search.  Tests freeze values computed
 by these against the real implementations.  The grounded_* functions are
 the Herbrand-grounding evaluation that the join evaluator replaced, kept so
 the tests can check that both give the same models, the same violations
-and the same clauses in the same order.  The last two are second
-formulations of a production function that production does not call; the
-tests check that both formulations agree.
+and the same clauses in the same order.  The hitting-set references are
+the exhaustive subset sweep that vud.hitting's incremental transversals
+replaced, a branch-and-bound version and is_hitting_set.  edb_cuts is a
+second formulation of a production function that production does not call;
+the tests check that both formulations agree.
 """
 
 from __future__ import annotations
@@ -370,6 +372,36 @@ def _ground_ics(ic: Sequence[Rule], model: frozenset[Atom], extra: frozenset[Ato
     for r in ic:
         out.extend(_ground_instances(r, sorted(consts)))
     return out
+
+
+def is_hitting_set(candidate: Iterable, family: Iterable[Collection]) -> bool:
+    """True when candidate draws only from the family's union and meets
+    every non-empty member."""
+    cand = set(candidate)
+    fam = [set(s) for s in family]
+    union: set = set()
+    for s in fam:
+        union |= s
+    if not cand <= union:
+        return False
+    return all(cand & s for s in fam if s)
+
+
+def minimal_hitting_sets_sweep(family: Iterable[Collection]) -> tuple[frozenset, ...]:
+    """Same result as vud.hitting.minimal_hitting_sets by exhaustive
+    size-ascending enumeration over subsets of the union; once a set is
+    found, its supersets are skipped, so everything kept is minimal."""
+    fam = [frozenset(s) for s in family if s]
+    union = sorted(frozenset().union(*fam)) if fam else []
+    found: list[frozenset] = []
+    for n in range(len(union) + 1):
+        for combo in itertools.combinations(union, n):
+            cand = frozenset(combo)
+            if any(f <= cand for f in found):
+                continue
+            if all(cand & s for s in fam):
+                found.append(cand)
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def minimal_hitting_sets_bb(family: Iterable[Collection]) -> tuple[frozenset, ...]:

@@ -14,6 +14,7 @@ import time
 from oracles import (
     brute_transactions,
     clause_models,
+    is_hitting_set,
     minimal_sets,
     saturated_sets,
     subset_explanations,
@@ -31,7 +32,7 @@ from vud.deletion import (
 )
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.explain import local_explanations
-from vud.hitting import is_hitting_set, minimal_hitting_sets
+from vud.hitting import minimal_hitting_sets
 from vud.insertion import insertion_candidates, magic_query
 from vud.lang import Atom, Database, Literal, Transaction, is_variable
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom

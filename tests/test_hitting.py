@@ -1,13 +1,15 @@
-"""Hitting set enumeration: the two implementations against each other."""
+"""Hitting set enumeration: the incremental transversals against the
+exhaustive sweep and the branch-and-bound references."""
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vud.hitting import is_hitting_set, minimal_hitting_sets
+from vud.hitting import minimal_hitting_sets
 
-from oracles import minimal_hitting_sets_bb
+from oracles import is_hitting_set, minimal_hitting_sets_bb, minimal_hitting_sets_sweep
 
 
 def fs(*xs):
@@ -46,6 +48,45 @@ def test_is_hitting_set():
     assert is_hitting_set(frozenset(), [])
 
 
+def _random_family(rng: random.Random) -> list[frozenset]:
+    """Up to 30 members over a union of up to 14 elements, with empty,
+    repeated and nested members mixed in."""
+    universe = ["e%d" % i for i in range(rng.randint(1, 14))]
+    family: list[frozenset] = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if family and kind < 0.15:
+            family.append(rng.choice(family))
+        elif family and kind < 0.35:
+            extra = rng.sample(universe, rng.randint(0, len(universe)))
+            family.append(rng.choice(family) | frozenset(extra))
+        elif kind < 0.4:
+            family.append(frozenset())
+        else:
+            family.append(frozenset(rng.sample(universe, rng.randint(1, min(5, len(universe))))))
+    return family
+
+
+def test_agrees_with_exhaustive_sweep_on_seeded_families():
+    rng = random.Random(4)
+    sizes = set()
+    for trial in range(300):
+        family = _random_family(rng)
+        sizes.add(len(frozenset().union(*family)))
+        assert minimal_hitting_sets(family) == minimal_hitting_sets_sweep(family), (trial, family)
+    assert max(sizes) == 14
+
+
+def test_agrees_with_exhaustive_sweep_on_kernel_shaped_families():
+    # the two-support chain's kernels: one of a_i, b_i from every link
+    for n in range(1, 7):
+        links = [("a%d" % i, "b%d" % i) for i in range(1, n + 1)]
+        family = [frozenset(choice) for choice in itertools.product(*links)]
+        result = minimal_hitting_sets(family)
+        assert result == minimal_hitting_sets_sweep(family)
+        assert set(result) == {frozenset(link) for link in links}
+
+
 _families = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
     max_size=5,
@@ -56,6 +97,7 @@ _families = st.lists(
 @given(_families)
 def test_implementations_agree(family):
     assert minimal_hitting_sets(family) == minimal_hitting_sets_bb(family)
+    assert minimal_hitting_sets(family) == minimal_hitting_sets_sweep(family)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,13 @@
 """Belief change: kernels, repair, the change operations, postulates."""
 
+import time
+
 from hypothesis import assume, given, settings
 
 from vud.deletion import deletion_candidates
 from vud.insertion import insertion_candidates
 from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
+from vud.randgen import chain_database
 from vud.revision import (
     CONTRACTION_GUARANTEES,
     REVISION_GUARANTEES,
@@ -57,6 +60,17 @@ def test_kernel_insert_ignores_constraints(basic):
         Transaction(atoms("a"), frozenset()),
         Transaction(atoms("b"), frozenset()),
     )
+
+
+def test_kernel_delete_cuts_every_link_of_a_long_chain():
+    # 1024 kernels over a union of 20 facts: a sweep over the 2^20 subsets
+    # takes about 10 s, the transversals well under a tenth of that
+    t0 = time.perf_counter()
+    cuts = kernel_change(chain_database(10), Atom("p1"), "delete")
+    assert time.perf_counter() - t0 < 2.0
+    expected = [Transaction(frozenset(), atoms("a%d" % i, "b%d" % i)) for i in range(1, 11)]
+    assert cuts == tuple(sorted(expected, key=Transaction.rank_key))
+    assert [str(min(t.removals)) for t in cuts][:3] == ["a1", "a10", "a2"]
 
 
 def test_kernel_vacuity(basic):
