@@ -161,9 +161,7 @@ class Session:
         """Run one command, returning the text to show."""
         try:
             return self._dispatch(line.strip())
-        except ValueError as exc:
-            return "error: %s" % exc
-        except UnrealizableError as exc:
+        except (ValueError, OSError, UnrealizableError) as exc:
             return "error: %s" % exc
 
     def _dispatch(self, line: str) -> str:
@@ -313,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         db = load_database(args.file, err)
         if db is None:
             return 1
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=err)
         return 1
     except NotStratifiableError as exc:

@@ -65,15 +65,14 @@ def transform_rules(rules: Iterable[Rule], pivot: frozenset[Atom]) -> tuple[Clau
     return tuple(out)
 
 
-def deletion_program(db: Database, model: frozenset[Atom] | None = None) -> tuple[Clause, ...]:
+def deletion_program(db: Database) -> tuple[Clause, ...]:
     """Contrapositives of exactly the ground rules that fire in the model.
 
     Rules whose body fails in the model contribute nothing to any proof, so
     they are dropped rather than translated; keeping them would send the
     tableau chasing deletions of facts that are not even stored.
     """
-    if model is None:
-        model = least_model(db)
+    model = least_model(db)
     fired = [
         Rule(r.head, tuple(l for l in r.body if not l.negated and l.atom.pred != EQ))
         for r in firing_instances(db.idb, model, db.universe())
@@ -81,15 +80,14 @@ def deletion_program(db: Database, model: frozenset[Atom] | None = None) -> tupl
     return transform_rules(fired, model)
 
 
-def materialized_program(db: Database, model: frozenset[Atom] | None = None) -> tuple[Clause, ...]:
+def materialized_program(db: Database) -> tuple[Clause, ...]:
     """Every ground rule and constraint pivoted on the current model.
 
     Unlike deletion_program this keeps non-firing rules, so the clause set
     can talk about insertions as well as deletions, and it carries the
     denial constraints along as closing clauses.
     """
-    if model is None:
-        model = least_model(db)
+    model = least_model(db)
     universe = db.universe()
     clauses = list(transform_rules(reduct(db.idb, model, universe), model))
     clauses.extend(transform_rules(reduct(db.ic, model, universe), model))
@@ -98,10 +96,6 @@ def materialized_program(db: Database, model: frozenset[Atom] | None = None) -> 
 
 def delete_request(atom: Atom) -> Clause:
     return Clause((Literal(atom, negated=True),))
-
-
-def insert_request(atom: Atom) -> Clause:
-    return Clause((Literal(atom),))
 
 
 @dataclass(frozen=True)
@@ -195,26 +189,18 @@ def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bo
     return True
 
 
-def deletion_candidates(
-    db: Database,
-    atom: Atom,
-    minimality: bool = True,
-    model: frozenset[Atom] | None = None,
-) -> tuple[frozenset[Atom], ...]:
-    """Sets of stored facts whose removal makes atom underivable, one per
-    open tableau branch, in branch order.
+def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
+    """Sets of stored facts whose removal makes atom underivable, in
+    tableau branch order.
 
-    With minimality on, branches that delete more than needed are filtered
-    by the put-one-back test.  An atom that is not derivable to begin with
-    needs no deletion and yields the single empty candidate.
+    Each open branch's deletions are a candidate; those that delete more
+    than needed are filtered by the put-one-back test.  An atom that is not
+    derivable to begin with needs no deletion and yields the single empty
+    candidate.
     """
-    if model is None:
-        model = least_model(db)
-    if atom not in model:
+    if atom not in least_model(db):
         return (frozenset(),)
-    tableau = build_tableau(deletion_program(db, model), delete_request(atom))
+    tableau = build_tableau(deletion_program(db), delete_request(atom))
     candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
-    if minimality:
-        candidates = tuple(c for c in candidates if strongly_minimal(db, atom, c))
-    return tuple(candidates)
+    return tuple(c for c in candidates if strongly_minimal(db, atom, c))
 

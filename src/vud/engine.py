@@ -17,8 +17,8 @@ request is unrealizable and the error carries a trace of what was tried.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
-the transformed program for the whole database (reusable across requests
-via MaterializedViewCache) and reports every verified branch.
+the transformed program for the whole database and reports every verified
+branch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .deletion import (
-    Clause,
     branch_additions,
     branch_deletions,
     build_tableau,
@@ -39,7 +38,7 @@ from .deletion import (
 )
 from .insertion import insertion_candidates
 from .lang import (
-    MAX_ROUNDS, MAX_STATES, Atom, Database, Rule, SearchLog, Transaction, antichain,
+    MAX_ROUNDS, MAX_STATES, Atom, Database, SearchLog, Transaction, antichain,
     breadth_first, unique,
 )
 from .revision import rationality_report, repair_constraints
@@ -114,30 +113,6 @@ class UpdateResult:
     exhausted: bool = False
 
 
-class MaterializedViewCache:
-    """Transformed programs keyed by database value, so repeated updates
-    against the same contents skip the rebuild."""
-
-    def __init__(self) -> None:
-        self._programs: dict[tuple[Rule, ...], tuple[Clause, ...]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def program(self, db: Database) -> tuple[Clause, ...]:
-        key = db.rules
-        cached = self._programs.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        program = materialized_program(db)
-        self._programs[key] = program
-        self.misses += 1
-        return program
-
-    def __len__(self) -> int:
-        return len(self._programs)
-
-
 def _insert_family(
     db: Database, goal: Atom, minimality: bool, log: SearchLog
 ) -> tuple[Transaction, ...]:
@@ -148,18 +123,12 @@ def _insert_family(
     return (Transaction(frozenset({goal}), frozenset()),)
 
 
-def _delete_family(
-    db: Database, goal: Atom, variant: str, cache: MaterializedViewCache | None
-) -> tuple[Transaction, ...]:
+def _delete_family(db: Database, goal: Atom, variant: str) -> tuple[Transaction, ...]:
     if goal.pred in db.view_predicates:
         if variant == "materialized":
-            if cache is None:
-                cache = MaterializedViewCache()
-            program = cache.program(db)
-            tableau = build_tableau(program, delete_request(goal))
-            base = frozenset(db.base_predicates)
+            tableau = build_tableau(materialized_program(db), delete_request(goal))
             return unique(
-                Transaction(branch_additions(b, db.edb, base), branch_deletions(b, db.edb))
+                Transaction(branch_additions(b, db.edb, db.base_predicates), branch_deletions(b, db.edb))
                 for b in tableau.open()
             )
         return tuple(
@@ -174,7 +143,6 @@ def view_update(
     db: Database,
     request: UpdateRequest,
     variant: str = "minimal",
-    cache: MaterializedViewCache | None = None,
     max_rounds: int = MAX_ROUNDS,
 ) -> UpdateResult:
     """Realise the request, smallest verified change first.
@@ -208,7 +176,7 @@ def view_update(
     def family(after: Database, kind: str, goal: Atom) -> tuple[Transaction, ...]:
         if kind == "insert":
             return _insert_family(after, goal, minimality, log)
-        return _delete_family(after, goal, variant, cache)
+        return _delete_family(after, goal, variant)
 
     families: list[tuple[Transaction, ...]] = []
     for kind, goal in request.goals:
@@ -258,7 +226,7 @@ def view_update(
             if (goal in model) != (kind == "insert"):
                 failure = "%s %s not achieved" % (kind, goal)
                 return lambda: extend(tx, family(after, kind, goal), failure)
-        violated = check_ic(after, model)
+        violated = check_ic(after)
         if violated:
             return lambda: extend(tx, repairs(tx, after), "violates '%s'" % violated[0])
         return None

@@ -24,37 +24,31 @@ def minimal_members(family) -> tuple[frozenset[Atom], ...]:
     return tuple(out)
 
 
-def local_explanations(
-    db: Database, atom: Atom, model: frozenset[Atom] | None = None
-) -> tuple[frozenset[Atom], ...]:
+def local_explanations(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     """Fact sets of the individual proofs of atom, in proof order."""
-    tree = build_proof_tree(db, atom, model=model)
+    tree = build_proof_tree(db, atom)
     return unique(tree.success_sets())
 
 
-def explanations(
-    db: Database, atom: Atom, model: frozenset[Atom] | None = None
-) -> tuple[frozenset[Atom], ...]:
+def explanations(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     """Subset-minimal sets of stored facts that make atom derivable."""
-    return minimal_members(local_explanations(db, atom, model))
+    return minimal_members(local_explanations(db, atom))
 
 
-def missing_support(
-    db: Database, atom: Atom, model: frozenset[Atom] | None = None
-) -> tuple[frozenset[Atom], ...]:
+def missing_support(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     """Assumption sets of branches that would prove atom if the listed
     absent base facts were stored, in proof order."""
-    tree = build_proof_tree(db, atom, hypothesize=True, model=model)
+    tree = build_proof_tree(db, atom, hypothesize=True)
     return unique(tree.hypothesised_sets())
 
 
-def support_union(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> frozenset[Atom]:
+def support_union(db: Database, atom: Atom) -> frozenset[Atom]:
     """Every stored fact touched by some proof of atom."""
-    fam = local_explanations(db, atom, model)
+    fam = local_explanations(db, atom)
     return frozenset().union(*fam) if fam else frozenset()
 
 
-def missing_union(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> frozenset[Atom]:
+def missing_union(db: Database, atom: Atom) -> frozenset[Atom]:
     """Every absent base fact touched by some almost-proof of atom."""
-    fam = missing_support(db, atom, model)
+    fam = missing_support(db, atom)
     return frozenset().union(*fam) if fam else frozenset()

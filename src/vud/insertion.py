@@ -258,9 +258,7 @@ def insertion_worlds(
     db: Database,
     inserts: Iterable[Atom] = (),
     deletes: Iterable[Atom] = (),
-    model: frozenset[Atom] | None = None,
     log: SearchLog | None = None,
-    normalized: tuple[Rule, ...] | None = None,
 ) -> tuple[frozenset[Atom], ...]:
     """Finished delta worlds for the request, breadth first.
 
@@ -268,14 +266,10 @@ def insertion_worlds(
     deltas expanded away; its base-level part is a candidate transaction.
     A world search has no round limit, only the state limit: a stop there
     is marked on the log and the worlds finished so far are returned.
-    A caller that already holds normalize_rules(db.idb) passes it along.
     """
-    if model is None:
-        model = least_model(db)
     if log is None:
         log = SearchLog()
-    if normalized is None:
-        normalized = normalize_rules(db.idb)
+    normalized = normalize_rules(db.idb)
     defs = view_definitions(normalized)
     norm_model = fixpoint_model(normalized, db.edb, db.universe())
     universe = tuple(sorted(db.universe()))
@@ -302,7 +296,7 @@ def insertion_worlds(
         else:
             options = [
                 frozenset(delta_remove(d) for d in cand)
-                for cand in deletion_candidates(db, atom, model=model)
+                for cand in deletion_candidates(db, atom)
             ]
         for option in options:
             new_deltas = deltas | option
@@ -343,20 +337,10 @@ def _transaction_of(world: frozenset[Atom], base_preds: frozenset[str]) -> Trans
     return Transaction(frozenset(adds), frozenset(dels))
 
 
-def _world_transactions(
-    db: Database, atom: Atom, model: frozenset[Atom], log: SearchLog
-) -> tuple[Transaction, ...]:
+def _world_transactions(db: Database, atom: Atom, log: SearchLog) -> tuple[Transaction, ...]:
     """Base transactions of the delta worlds for one insertion, unverified."""
-    normalized = normalize_rules(db.idb)
-    worlds = insertion_worlds(db, [atom], model=model, log=log, normalized=normalized)
-    defined = {r.head.pred for r in normalized if r.head is not None}
-    base_preds = frozenset(
-        l.atom.pred
-        for r in normalized
-        for l in r.body
-        if l.atom.pred not in defined and l.atom.pred != EQ
-    ) | frozenset(a.pred for a in db.edb)
-    txs = (_transaction_of(world, base_preds) for world in worlds)
+    worlds = insertion_worlds(db, [atom], log=log)
+    txs = (_transaction_of(world, db.base_predicates) for world in worlds)
     return unique(tx for tx in txs if tx.consistent)
 
 
@@ -364,7 +348,6 @@ def disarm_steps(
     db: Database,
     instance: Rule,
     insert_view: Callable[[Atom], Iterable[Transaction]],
-    model: frozenset[Atom] | None = None,
 ) -> Iterator[Transaction]:
     """Single-purpose changes that break one violated denial instance:
     retract a true positive subgoal, or make a negated one true (views
@@ -379,7 +362,7 @@ def disarm_steps(
             else:
                 yield Transaction(frozenset({a}), frozenset())
         elif a.pred in db.view_predicates:
-            for cut in deletion_candidates(db, a, model=model):
+            for cut in deletion_candidates(db, a):
                 yield Transaction(frozenset(), cut)
         elif a in db.edb:
             yield Transaction(frozenset(), frozenset({a}))
@@ -389,7 +372,6 @@ def insertion_candidates(
     db: Database,
     atom: Atom,
     minimality: bool = True,
-    model: frozenset[Atom] | None = None,
     log: SearchLog | None = None,
 ) -> tuple[Transaction, ...]:
     """Verified transactions that make atom derivable without breaking any
@@ -407,9 +389,7 @@ def insertion_candidates(
     minimality on, a transaction any single change of which could be undone
     is dropped as padded.
     """
-    if model is None:
-        model = least_model(db)
-    if atom in model:
+    if atom in least_model(db):
         return (Transaction(),)
     if log is None:
         log = SearchLog()
@@ -419,17 +399,14 @@ def insertion_candidates(
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
-        after_model = least_model(after)
-        if atom not in after_model:
-            return lambda: grow(tx, _world_transactions(after, atom, after_model, log))
-        violated = check_ic(after, after_model)
+        if atom not in least_model(after):
+            return lambda: grow(tx, _world_transactions(after, atom, log))
+        violated = check_ic(after)
         if violated:
-            return lambda: grow(tx, disarm_steps(
-                after, violated[0], lambda a: _world_transactions(after, a, after_model, log), after_model
-            ))
+            return lambda: grow(tx, disarm_steps(after, violated[0], lambda a: _world_transactions(after, a, log)))
         return None
 
-    txs = breadth_first(_world_transactions(db, atom, model, log), step, log)
+    txs = breadth_first(_world_transactions(db, atom, log), step, log)
     known = db.universe() | set(atom.args)
     grounded = [t for t in txs if all(set(a.args) <= known for a in t.additions)]
     if grounded:

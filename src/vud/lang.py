@@ -398,6 +398,7 @@ class Database:
 
     # The derivations below are computed on first use and kept on the
     # instance; they are not fields, so equality and hashing ignore them.
+    # semantics.least_model keeps the model on the instance the same way.
 
     @functools.cached_property
     def view_predicates(self) -> frozenset[str]:

@@ -29,12 +29,7 @@ from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_fir
 from .semantics import check_ic, firing_instances, fixpoint_model, least_model
 
 
-def kernel_change(
-    db: Database,
-    atom: Atom,
-    operation: str,
-    model: frozenset[Atom] | None = None,
-) -> tuple[Transaction, ...]:
+def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction, ...]:
     """Raw kernel-level candidates, before any constraint checking.
 
     Deleting: every kernel (minimal stored support of atom) must lose a
@@ -42,19 +37,18 @@ def kernel_change(
     family.  Inserting: one missing support set must be stored whole, so
     each verified member of that family is a candidate on its own.
     """
-    if model is None:
-        model = least_model(db)
+    model = least_model(db)
     if operation == "delete":
         if atom not in model:
             return (Transaction(),)
-        kernels = local_explanations(db, atom, model=model)
+        kernels = local_explanations(db, atom)
         return tuple(
             Transaction(frozenset(), cut) for cut in minimal_hitting_sets(kernels)
         )
     if operation == "insert":
         if atom in model:
             return (Transaction(),)
-        family = minimal_members(missing_support(db, atom, model=model))
+        family = minimal_members(missing_support(db, atom))
         txs = [Transaction(adds, frozenset()) for adds in family]
         good = [t for t in txs if atom in least_model(t.apply(db))]
         return tuple(sorted(good, key=Transaction.rank_key))
@@ -132,10 +126,9 @@ def _finalize(
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
-        model = least_model(after)
-        if (atom in model) != want_derivable:
+        if (atom in least_model(after)) != want_derivable:
             return list  # a dead end: no children
-        if not check_ic(after, model):
+        if not check_ic(after):
             return None
         if depth > 0:
             return list
@@ -152,19 +145,17 @@ def contract(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     """Fact removals after which atom is no longer derivable, smallest
     first.  Constraint violations caused by a removal are repaired on the
     spot; repairs may not resurrect the atom."""
-    model = least_model(db)
-    if atom not in model:
+    if atom not in least_model(db):
         return (Transaction(),)
-    return _finalize(db, atom, kernel_change(db, atom, "delete", model=model), False)
+    return _finalize(db, atom, kernel_change(db, atom, "delete"), False)
 
 
 def revise(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     """Fact changes after which atom is derivable and the constraints
     hold, smallest first."""
-    model = least_model(db)
-    if atom in model and not check_ic(db, model):
+    if atom in least_model(db) and not check_ic(db):
         return (Transaction(),)
-    return _finalize(db, atom, kernel_change(db, atom, "insert", model=model), True)
+    return _finalize(db, atom, kernel_change(db, atom, "insert"), True)
 
 
 # --- equivalence ------------------------------------------------------------
@@ -239,7 +230,7 @@ def rationality_report(
     report["immutable-inclusion"] = (
         after_db.idb == db.idb and after_db.ic == db.ic
     )
-    report["consistency"] = not check_ic(after_db, after)
+    report["consistency"] = not check_ic(after_db)
     if operation == "delete":
         report["weak-success"] = atom not in after or derivable_without_facts(db, atom)
         report["inclusion"] = not tx.additions
@@ -256,7 +247,7 @@ def rationality_report(
     else:
         report["weak-success"] = atom in after
         report["inclusion"] = tx.additions <= missing_union(db, atom)
-        report["vacuity"] = atom not in before or bool(check_ic(db, before)) or tx.is_empty
+        report["vacuity"] = atom not in before or bool(check_ic(db)) or tx.is_empty
         report["weak-relevance"] = report["inclusion"]
         pivotal = True
         for a in sorted(tx.additions):

@@ -11,6 +11,11 @@ only rules with a subgoal whose predicate gained atoms are joined again,
 reading that subgoal from the new atoms.  Compiled rule sets are kept for
 the few databases in use, keyed by the identities of their rules.
 
+A database's model is computed once, on first use, and kept on the
+Database instance; every layer that needs it calls least_model(db).  Code
+that evaluates other facts, another universe or other rules calls
+fixpoint_model itself.
+
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
 Instances are listed in the order grounding over the universe would list
@@ -437,10 +442,19 @@ def fixpoint_model(
 
 
 def least_model(db: Database) -> frozenset[Atom]:
-    return fixpoint_model(db.idb, db.edb, db.universe())
+    """The perfect model of the database's rules over its stored facts.
+
+    Computed on first use and kept on the instance, like the derivations
+    Database keeps itself, so equality and hashing ignore it.
+    """
+    kept = vars(db)
+    model = kept.get("_model")
+    if model is None:
+        model = kept["_model"] = fixpoint_model(db.idb, db.edb, db.universe())
+    return model
 
 
-def check_ic(db: Database, model: frozenset[Atom] | None = None) -> tuple[Rule, ...]:
+def check_ic(db: Database) -> tuple[Rule, ...]:
     """Ground instances of denial constraints whose body holds in the model.
 
     Variables range over the constants of the model and the clauses, and
@@ -450,9 +464,7 @@ def check_ic(db: Database, model: frozenset[Atom] | None = None) -> tuple[Rule, 
     """
     if not db.ic:
         return ()
-    if model is None:
-        model = least_model(db)
-    return tuple(_Joins(model, db.universe()).instances(_compiled(db.ic), db.ic))
+    return tuple(_Joins(least_model(db), db.universe()).instances(_compiled(db.ic), db.ic))
 
 
 def reduct(rules: Sequence[Rule], model: frozenset[Atom], universe: Iterable[str]) -> tuple[Rule, ...]:
@@ -546,7 +558,6 @@ def build_proof_tree(
     db: Database,
     goal: Atom,
     hypothesize: bool = False,
-    model: frozenset[Atom] | None = None,
 ) -> ProofTree:
     """Resolution tree for a ground goal atom.
 
@@ -557,8 +568,7 @@ def build_proof_tree(
     """
     if not goal.is_ground:
         raise ValueError("proof trees require a ground goal, got %s" % goal)
-    if model is None:
-        model = least_model(db)
+    model = least_model(db)
     view = db.view_predicates
     consts = db.universe() | set(goal.args)
     rules_for: dict[Atom, list[Rule]] = {}

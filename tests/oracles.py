@@ -432,11 +432,11 @@ def minimal_hitting_sets_bb(family: Iterable[Collection]) -> tuple[frozenset, ..
     return tuple(dedup)
 
 
-def edb_cuts(db: Database, atom: Atom, model: frozenset[Atom] | None = None) -> tuple[frozenset[Atom], ...]:
+def edb_cuts(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     """Deletion candidates the explanation way: pick one stored fact out of
     every proof, then keep the subset-minimal picks.  Agrees with the
     tableau route of vud.deletion.deletion_candidates."""
-    family = local_explanations(db, atom, model)
+    family = local_explanations(db, atom)
     if not family:
         return ()
     picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}

@@ -111,6 +111,15 @@ def test_missing_file_exits_1(capsys):
     assert "error" in err
 
 
+def test_file_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin1.dl"
+    path.write_bytes("p(caf\u00e9).\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err
+
+
 def test_nonground_query_atom_exits_1(capsys):
     code, _, err = run(capsys, "query", BASIC, "p(X)")
     assert code == 1
@@ -194,6 +203,14 @@ def test_repl_error_handling():
     assert s.execute("query p").startswith("error")  # missing dot
     assert s.execute("insert b.").startswith("error: cannot realise")
     # session still usable afterwards
+    assert s.execute("query p.") == "true"
+
+
+def test_repl_save_to_missing_directory_keeps_session(tmp_path):
+    s = session()
+    missing = tmp_path / "no" / "such" / "x.dl"
+    reply = s.execute("save %s" % missing)
+    assert reply.startswith("error: ") and str(missing) in reply
     assert s.execute("query p.") == "true"
 
 

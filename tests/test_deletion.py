@@ -4,7 +4,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from vud.lang import Atom, Database, Literal
+from vud.lang import Atom, Database, Literal, unique
 from vud.deletion import (
     Branch,
     Clause,
@@ -20,7 +20,6 @@ from vud.deletion import (
 )
 from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
-from vud.semantics import least_model
 
 from oracles import clause_models, edb_cuts, minimal_sets, naive_model, saturated_sets
 from strategies import dbs_with_derivable_goal
@@ -69,9 +68,16 @@ def test_tableau_golden_branches():
     assert tab.expansions == 6
 
 
+def raw_cuts(db: Database, goal: Atom) -> tuple[frozenset[Atom], ...]:
+    """The stored-fact deletions of the open branches, before the
+    put-one-back filter."""
+    tableau = build_tableau(deletion_program(db), delete_request(goal))
+    return unique(branch_deletions(b, db.edb) for b in tableau.open())
+
+
 def test_raw_candidates_golden():
     db = basic()
-    assert deletion_candidates(db, Atom("p"), minimality=False) == (
+    assert raw_cuts(db, Atom("p")) == (
         atoms("a"),
         atoms("a", "e"),
         atoms("a", "e", "f"),
@@ -191,19 +197,17 @@ def test_clause_str():
 @given(dbs_with_derivable_goal())
 def test_minimal_candidates_are_hitting_sets_of_proofs(case):
     db, goal = case
-    model = least_model(db)
-    minimal = set(deletion_candidates(db, goal, model=model))
-    proofs = local_explanations(db, goal, model=model)
+    minimal = set(deletion_candidates(db, goal))
+    proofs = local_explanations(db, goal)
     assert minimal == set(minimal_hitting_sets(proofs))
-    assert minimal == set(edb_cuts(db, goal, model=model))
+    assert minimal == set(edb_cuts(db, goal))
 
 
 @settings(max_examples=100, deadline=None)
 @given(dbs_with_derivable_goal())
 def test_raw_candidates_all_delete(case):
     db, goal = case
-    model = least_model(db)
-    raw = deletion_candidates(db, goal, minimality=False, model=model)
+    raw = raw_cuts(db, goal)
     assert raw
     for cand in raw:
         assert cand <= db.edb
@@ -214,8 +218,7 @@ def test_raw_candidates_all_delete(case):
 @given(dbs_with_derivable_goal())
 def test_tableau_matches_oracle_on_random_programs(case):
     db, goal = case
-    model = least_model(db)
-    program = deletion_program(db, model)
+    program = deletion_program(db)
     request = delete_request(goal)
     tab = build_tableau(program, request)
     pairs = [(request.head, request.body)] + [(c.head, c.body) for c in program]

@@ -1,14 +1,9 @@
-"""The update engine end to end: requests, variants, repair, caching."""
+"""The update engine end to end: requests, variants, repair."""
 
 from hypothesis import given, settings
 
 from vud.deletion import deletion_candidates
-from vud.engine import (
-    MaterializedViewCache,
-    UnrealizableError,
-    UpdateRequest,
-    view_update,
-)
+from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.lang import Atom, Database, Transaction
 from vud.semantics import check_ic, least_model
 
@@ -148,17 +143,6 @@ def test_rejects_bad_inputs(basic):
         view_update(basic, UpdateRequest(deletes=(Atom("p"),)), variant="fast")
     with pytest.raises(ValueError):
         view_update(basic, UpdateRequest(inserts=(Atom("r", ("X",)),)))
-
-
-def test_materialized_cache_is_value_keyed():
-    cache = MaterializedViewCache()
-    first = Database.load("data/basic.dl")
-    second = Database.load("data/basic.dl")
-    view_update(first, UpdateRequest(deletes=(Atom("p"),)), variant="materialized", cache=cache)
-    view_update(second, UpdateRequest(deletes=(Atom("q"),)), variant="materialized", cache=cache)
-    assert cache.misses == 1
-    assert cache.hits == 1
-    assert len(cache) == 1
 
 
 def test_postulates_reported_for_single_view_goal_only(basic, staff):

@@ -22,6 +22,7 @@ from vud.lang import (
     stratify,
     validate,
 )
+from vud.semantics import least_model
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -59,7 +60,7 @@ def test_parse_staff_eq_head_becomes_denial():
 def test_database_derivations_computed_once():
     db = Database.load(str(DATA / "staff.dl"))
     twin = Database.load(str(DATA / "staff.dl"))
-    for derive in (Database.universe, lambda d: d.view_predicates, lambda d: d.base_predicates):
+    for derive in (Database.universe, lambda d: d.view_predicates, lambda d: d.base_predicates, least_model):
         assert derive(db) is derive(db)
     # kept derivations take no part in equality or hashing
     assert db == twin and hash(db) == hash(twin)

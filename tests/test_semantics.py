@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vud import semantics
+from vud.deletion import deletion_candidates
 from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, fact, parse_program
 from vud.semantics import (
     build_proof_tree,
@@ -94,6 +96,26 @@ def test_check_ic():
     assert check_ic(staff) == ()
     twochairs = staff.with_edb(staff.edb | {Atom("group_chair", ("infor1", "gerhard"))})
     assert any("eq" in str(r) for r in check_ic(twochairs))
+
+
+def test_model_computed_once_per_database(monkeypatch):
+    db = Database.load(str(DATA / "basic.dl"))
+    least_model(db)
+    calls = []
+    compute = semantics.fixpoint_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "fixpoint_model", counting)
+    assert check_ic(db) == ()
+    assert build_proof_tree(db, Atom("p")).proved()
+    assert deletion_candidates(db, Atom("p")) == (atoms("a"),)
+    assert calls == []
+    # an equal database keeps a model of its own, and the count sees it
+    least_model(Database.load(str(DATA / "basic.dl")))
+    assert len(calls) == 1
 
 
 def test_reduct():
