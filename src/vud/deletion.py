@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lang import EQ, Atom, Database, Literal, Rule, unique
-from .semantics import firing_instances, fixpoint_model, least_model, reduct
+from .lang import EQ, Atom, Database, Literal, Rule, Transaction, unique
+from .semantics import firing_instances, least_model, reduct
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,12 @@ def branch_additions(branch: Branch, edb: frozenset[Atom], base_preds: frozenset
 
 
 def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:
-    """True when the deletion works and every deleted fact individually
-    matters: putting any single one back restores a proof of the atom."""
-    base = db.edb - candidate
-    universe = db.universe()
-    if atom in fixpoint_model(db.idb, base, universe):
-        return False
-    for s in candidate:
-        if atom not in fixpoint_model(db.idb, base | {s}, universe):
-            return False
-    return True
+    """True when removing the candidate's stored facts makes atom
+    underivable and putting any single one back restores a proof of it."""
+    cut = Transaction(frozenset(), candidate)
+    return atom not in least_model(cut.apply(db)) and all(
+        atom in least_model(back) for back in cut.undo_each(db, candidate)
+    )
 
 
 def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:

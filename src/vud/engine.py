@@ -39,7 +39,7 @@ from .deletion import (
 from .insertion import insertion_candidates
 from .lang import (
     MAX_ROUNDS, MAX_STATES, Atom, Database, SearchLog, Transaction, antichain,
-    breadth_first, unique,
+    breadth_first, check_goal, unique,
 )
 from .revision import rationality_report, repair_constraints
 from .semantics import check_ic, least_model
@@ -151,13 +151,13 @@ def view_update(
     first; one that misses a goal or breaks a constraint is merged with
     the goal's family or the repairs computed on its own result, up to
     max_rounds times.  Raises UnrealizableError when nothing survives
-    verification, with a trace of the failed attempts.
+    verification, with a trace of the failed attempts, and ValueError for
+    a goal that lang.check_goal rejects.
     """
     if variant not in ("minimal", "materialized"):
         raise ValueError("variant must be 'minimal' or 'materialized', got %r" % variant)
     for atom in request.inserts + request.deletes:
-        if not atom.is_ground:
-            raise ValueError("update goals must be ground, got %s" % atom)
+        check_goal(db, atom)
     contradictory = set(request.inserts) & set(request.deletes)
     if contradictory:
         raise UnrealizableError(

@@ -199,8 +199,7 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
 # --- world search ----------------------------------------------------------
 
 
-def _fresh_names(db: Database, count: int) -> tuple[str, ...]:
-    taken = db.universe()
+def _fresh_names(taken: frozenset[str], count: int) -> tuple[str, ...]:
     names = []
     k = 1
     while len(names) < count:
@@ -273,7 +272,11 @@ def insertion_worlds(
     defs = view_definitions(normalized)
     norm_model = fixpoint_model(normalized, db.edb, db.universe())
     universe = tuple(sorted(db.universe()))
-    fresh_pool = _fresh_names(db, sum(len(d.alternatives) for d in defs.values()))
+    seeds = delta_seeds(inserts, deletes)
+    # witnesses avoid the request's constants too, or a goal constant
+    # could pass for a fresh one
+    taken = db.universe().union(*(d.args for d in seeds))
+    fresh_pool = _fresh_names(taken, sum(len(d.alternatives) for d in defs.values()))
     fresh: dict[str, dict[int, str]] = {}
     i = 0
     for pred, defn in defs.items():
@@ -308,7 +311,6 @@ def insertion_worlds(
                 sorted(d for d in option - deltas if split_delta(d)[1].pred in defs)
             )
 
-    seeds = delta_seeds(inserts, deletes)
     pending0 = tuple(sorted(d for d in seeds if split_delta(d)[1].pred in defs))
     finished = breadth_first(
         [(seeds, pending0)], step, log, key=lambda w: (w[0], frozenset(w[1])), rounds=None
@@ -420,15 +422,8 @@ def insertion_candidates(
 def _necessary(db: Database, atom: Atom, tx: Transaction) -> bool:
     """Every single change pulls its weight: undoing any one of them either
     loses the goal or breaks a constraint."""
-    for x in sorted(tx.additions):
-        slim = Transaction(tx.additions - {x}, tx.removals).apply(db)
-        if derivable(slim, atom) and not check_ic(slim):
-            return False
-    for x in sorted(tx.removals):
-        slim = Transaction(tx.additions, tx.removals - {x}).apply(db)
-        if derivable(slim, atom) and not check_ic(slim):
-            return False
-    return True
+    slims = itertools.chain(tx.undo_each(db, tx.additions), tx.undo_each(db, tx.removals))
+    return not any(derivable(slim, atom) and not check_ic(slim) for slim in slims)
 
 
 # --- goal-guarded evaluation ------------------------------------------------

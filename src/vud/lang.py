@@ -144,7 +144,16 @@ class Transaction:
         return not self.additions & self.removals
 
     def apply(self, db: "Database") -> "Database":
-        return db.with_edb((db.edb | self.additions) - self.removals)
+        """The changed database: db itself when the stored facts stay as they
+        are, so the model kept on db is reused."""
+        edb = (db.edb | self.additions) - self.removals
+        return db if edb == db.edb else db.with_edb(edb)
+
+    def undo_each(self, db: "Database", changes: Iterable[Atom]) -> Iterator["Database"]:
+        """For each of the given changes in sorted order, the database after
+        this change with that one change undone."""
+        for x in sorted(changes):
+            yield Transaction(self.additions - {x}, self.removals - {x}).apply(db)
 
     def rank_key(self) -> tuple[int, list[str], list[str]]:
         """Ranking order: fewer changes first, ties broken lexically."""
@@ -412,6 +421,15 @@ class Database:
                 preds.add(lit.atom.pred)
         return frozenset(preds - self.view_predicates - {EQ})
 
+    @functools.cached_property
+    def arities(self) -> Mapping[str, int]:
+        """Each predicate's arity, as the clauses first use it."""
+        arity: dict[str, int] = {}
+        for r in self.rules:
+            for a in ([] if r.head is None else [r.head]) + [l.atom for l in r.body]:
+                arity.setdefault(a.pred, len(a.args))
+        return arity
+
     def universe(self) -> frozenset[str]:
         return self._universe
 
@@ -498,22 +516,30 @@ def stratify(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
     return tuple(strata)
 
 
+def check_goal(db: Database, atom: Atom) -> None:
+    """Raise ValueError unless atom is a goal an update of db may have: a
+    ground atom that could be stored without validate rejecting the result,
+    so not eq and of the arity db uses for its predicate."""
+    if not atom.is_ground:
+        raise ValueError("update goals must be ground, got %s" % atom)
+    if atom.pred == EQ:
+        raise ValueError("eq is built in and cannot be an update goal")
+    arity = db.arities.get(atom.pred, len(atom.args))
+    if arity != len(atom.args):
+        raise ValueError("%s takes %d arguments, got %s" % (atom.pred, arity, atom))
+
+
 def validate(db: Database) -> tuple[Violation, ...]:
     """Structural problems with a database.  Empty result means well formed."""
     out: list[Violation] = []
     view = db.view_predicates
-    arity: dict[str, int] = {}
-
-    def check_arity(atom: Atom) -> None:
-        seen = arity.setdefault(atom.pred, len(atom.args))
-        if seen != len(atom.args):
-            out.append(Violation("arity-mismatch",
-                                 "%s used with %d and %d arguments" % (atom.pred, seen, len(atom.args))))
-
+    arities = db.arities
     for r in db.rules:
-        atoms = ([] if r.head is None else [r.head]) + [l.atom for l in r.body]
-        for a in atoms:
-            check_arity(a)
+        for a in ([] if r.head is None else [r.head]) + [l.atom for l in r.body]:
+            seen = arities[a.pred]
+            if seen != len(a.args):
+                out.append(Violation("arity-mismatch",
+                                     "%s used with %d and %d arguments" % (a.pred, seen, len(a.args))))
         if r.is_fact:
             assert r.head is not None
             if not r.head.is_ground:

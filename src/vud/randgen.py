@@ -102,15 +102,9 @@ def random_ground_atom(db: Database, seed: int, view: bool = True) -> Atom:
     preds = sorted(db.view_predicates if view else db.base_predicates)
     if not preds:
         raise ValueError("database has no %s predicates" % ("view" if view else "base"))
-    arity: dict[str, int] = {}
-    for r in db.rules:
-        if r.head is not None:
-            arity.setdefault(r.head.pred, len(r.head.args))
-        for lit in r.body:
-            arity.setdefault(lit.atom.pred, len(lit.atom.args))
     pred = rng.choice(preds)
     consts = sorted(db.universe()) or ["a"]
-    return Atom(pred, tuple(rng.choice(consts) for _ in range(arity.get(pred, 0))))
+    return Atom(pred, tuple(rng.choice(consts) for _ in range(db.arities.get(pred, 0))))
 
 
 def chain_database(n: int) -> Database:

@@ -25,17 +25,19 @@ from .explain import (
 )
 from .hitting import minimal_hitting_sets
 from .insertion import disarm_steps, insertion_candidates
-from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first
+from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first, check_goal
 from .semantics import check_ic, firing_instances, fixpoint_model, least_model
 
 
 def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction, ...]:
-    """Raw kernel-level candidates, before any constraint checking.
+    """Raw kernel-level candidates, smallest first, before any goal or
+    constraint check.
 
     Deleting: every kernel (minimal stored support of atom) must lose a
     member, so candidates are the minimal hitting sets of the kernel
     family.  Inserting: one missing support set must be stored whole, so
-    each verified member of that family is a candidate on its own.
+    each minimal member is a candidate, even one that misses the goal
+    once stored because a negated subgoal turns false; revise checks it.
     """
     model = least_model(db)
     if operation == "delete":
@@ -50,8 +52,7 @@ def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction
             return (Transaction(),)
         family = minimal_members(missing_support(db, atom))
         txs = [Transaction(adds, frozenset()) for adds in family]
-        good = [t for t in txs if atom in least_model(t.apply(db))]
-        return tuple(sorted(good, key=Transaction.rank_key))
+        return tuple(sorted(txs, key=Transaction.rank_key))
     raise ValueError("operation must be 'insert' or 'delete', got %r" % operation)
 
 
@@ -152,7 +153,9 @@ def contract(db: Database, atom: Atom) -> tuple[Transaction, ...]:
 
 def revise(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     """Fact changes after which atom is derivable and the constraints
-    hold, smallest first."""
+    hold, smallest first.  Raises ValueError for an atom that is no
+    update goal of db (see lang.check_goal)."""
+    check_goal(db, atom)
     if atom in least_model(db) and not check_ic(db):
         return (Transaction(),)
     return _finalize(db, atom, kernel_change(db, atom, "insert"), True)
@@ -237,25 +240,18 @@ def rationality_report(
         report["vacuity"] = atom in before or tx.is_empty
         license_ = support_union(db, atom)
         report["weak-relevance"] = tx.removals <= license_
-        pivotal = True
-        for r in sorted(tx.removals):
-            restored = Transaction(frozenset(), tx.removals - {r}).apply(db)
-            if atom not in least_model(restored):
-                pivotal = False
-                break
-        report["strong-relevance"] = (atom not in after or not tx.removals) and pivotal
+        cut = Transaction(frozenset(), tx.removals)
+        report["strong-relevance"] = (atom not in after or not tx.removals) and all(
+            atom in least_model(back) for back in cut.undo_each(db, tx.removals)
+        )
     else:
         report["weak-success"] = atom in after
         report["inclusion"] = tx.additions <= missing_union(db, atom)
         report["vacuity"] = atom not in before or bool(check_ic(db)) or tx.is_empty
         report["weak-relevance"] = report["inclusion"]
-        pivotal = True
-        for a in sorted(tx.additions):
-            slim = Transaction(tx.additions - {a}, tx.removals).apply(db)
-            if atom in least_model(slim):
-                pivotal = False
-                break
-        report["strong-relevance"] = pivotal
+        report["strong-relevance"] = not any(
+            atom in least_model(slim) for slim in tx.undo_each(db, tx.additions)
+        )
     return report
 
 

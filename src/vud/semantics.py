@@ -12,9 +12,10 @@ reading that subgoal from the new atoms.  Compiled rule sets are kept for
 the few databases in use, keyed by the identities of their rules.
 
 A database's model is computed once, on first use, and kept on the
-Database instance; every layer that needs it calls least_model(db).  Code
-that evaluates other facts, another universe or other rules calls
-fixpoint_model itself.
+Database instance; every layer that needs it calls least_model(db), a
+changed database least_model(tx.apply(db)).  Only kb_equivalent and
+derivable_without_facts (another universe), insertion_worlds and
+magic_query (other rules) call fixpoint_model themselves.
 
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.

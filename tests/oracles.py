@@ -10,7 +10,9 @@ and the same clauses in the same order.  The hitting-set references are
 the exhaustive subset sweep that vud.hitting's incremental transversals
 replaced, a branch-and-bound version and is_hitting_set.  edb_cuts is a
 second formulation of a production function that production does not call;
-the tests check that both formulations agree.
+the tests check that both formulations agree.  The *_loop functions are
+the four put-one-back loops that Transaction.undo_each replaced, each
+building its databases with Database.with_edb.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Collection, Iterable, Sequence
 
 from vud.deletion import Clause, transform_rules
 from vud.explain import local_explanations, minimal_members
-from vud.lang import EQ, Atom, Database, Literal, Rule, ground_program, is_variable, stratify
-from vud.semantics import reduct
+from vud.insertion import derivable
+from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, ground_program, is_variable, stratify
+from vud.semantics import check_ic, fixpoint_model, least_model, reduct
 
 
 def _ground_instances(rule: Rule, consts: Sequence[str]) -> list[Rule]:
@@ -441,3 +444,57 @@ def edb_cuts(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
         return ()
     picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}
     return tuple(minimal_members(picks))
+
+
+# --- put-one-back loops -------------------------------------------------------
+
+
+def strongly_minimal_loop(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:
+    """vud.deletion.strongly_minimal: the cut works, and putting back any
+    one removed fact restores the atom."""
+    base = db.edb - candidate
+    universe = db.universe()
+    if atom in fixpoint_model(db.idb, base, universe):
+        return False
+    for s in candidate:
+        if atom not in fixpoint_model(db.idb, base | {s}, universe):
+            return False
+    return True
+
+
+def necessary_loop(db: Database, atom: Atom, tx: Transaction) -> bool:
+    """vud.insertion._necessary: undoing any one addition or removal loses
+    the goal or breaks a constraint."""
+    for x in sorted(tx.additions):
+        slim = db.with_edb((db.edb | (tx.additions - {x})) - tx.removals)
+        if derivable(slim, atom) and not check_ic(slim):
+            return False
+    for x in sorted(tx.removals):
+        slim = db.with_edb((db.edb | tx.additions) - (tx.removals - {x}))
+        if derivable(slim, atom) and not check_ic(slim):
+            return False
+    return True
+
+
+def delete_strong_relevance_loop(db: Database, atom: Atom, tx: Transaction) -> bool:
+    """The delete audit's strong relevance in vud.revision.rationality_report:
+    the atom is gone (or nothing was removed), and putting back any one
+    removal, additions ignored, restores it."""
+    after = least_model(db.with_edb((db.edb | tx.additions) - tx.removals))
+    pivotal = True
+    for r in sorted(tx.removals):
+        restored = db.with_edb(db.edb - (tx.removals - {r}))
+        if atom not in least_model(restored):
+            pivotal = False
+            break
+    return (atom not in after or not tx.removals) and pivotal
+
+
+def insert_strong_relevance_loop(db: Database, atom: Atom, tx: Transaction) -> bool:
+    """The insert audit's strong relevance: undoing any one addition, the
+    removals kept, loses the atom."""
+    for a in sorted(tx.additions):
+        slim = db.with_edb((db.edb | (tx.additions - {a})) - tx.removals)
+        if atom in least_model(slim):
+            return False
+    return True

@@ -72,6 +72,14 @@ def test_update_tsv(capsys):
     assert out == "1\t-\ta\n"
 
 
+def test_update_goal_that_would_invalidate_the_database_exits_1(capsys):
+    for goal, reason in (("eq(a,b)", "eq is built in"), ("staff_group(aravindan)", "takes 2 arguments")):
+        code, out, err = run(capsys, "update", STAFF, "--insert", goal)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+
+
 def test_update_unrealizable_exits_2(capsys):
     code, out, err = run(capsys, "update", BASIC, "--insert", "q", "--delete", "p")
     assert code == 2
@@ -202,6 +210,8 @@ def test_repl_error_handling():
     assert s.execute("choose 1").startswith("error")
     assert s.execute("query p").startswith("error")  # missing dot
     assert s.execute("insert b.").startswith("error: cannot realise")
+    assert s.execute("insert eq(a,b).").startswith("error: eq is built in")
+    assert s.execute("insert p(a).").startswith("error: p takes 0 arguments")
     # session still usable afterwards
     assert s.execute("query p.") == "true"
 

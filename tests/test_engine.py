@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from vud.deletion import deletion_candidates
 from vud.engine import UnrealizableError, UpdateRequest, view_update
-from vud.lang import Atom, Database, Transaction
+from vud.lang import Atom, Database, Transaction, validate
 from vud.semantics import check_ic, least_model
 
 import pytest
@@ -143,6 +143,18 @@ def test_rejects_bad_inputs(basic):
         view_update(basic, UpdateRequest(deletes=(Atom("p"),)), variant="fast")
     with pytest.raises(ValueError):
         view_update(basic, UpdateRequest(inserts=(Atom("r", ("X",)),)))
+
+
+def test_rejects_goals_that_would_invalidate_the_database(staff):
+    # each would store a fact that validate rejects: eq-misuse, then
+    # arity-mismatch (staff_group takes two arguments)
+    for goal in (Atom("eq", ("a", "b")), Atom("staff_group", ("aravindan",))):
+        for request in (UpdateRequest(inserts=(goal,)), UpdateRequest(deletes=(goal,))):
+            with pytest.raises(ValueError, match=goal.pred):
+                view_update(staff, request)
+    # a predicate the database does not mention takes any arity
+    result = view_update(staff, UpdateRequest(inserts=(Atom("visitor", ("x",)),)))
+    assert validate(result.database) == ()
 
 
 def test_postulates_reported_for_single_view_goal_only(basic, staff):

@@ -349,3 +349,14 @@ def test_insertion_candidates_antichain(dbgoal):
     for t in txs:
         for o in txs:
             assert t is o or not t.covers(o)
+
+
+def test_witnesses_avoid_the_goal_constants():
+    # the goal constant new_1 is not in the database; a witness named new_1
+    # too would pass for a known constant and add +e(new_1,new_1), +f(new_1)
+    db = Database.parse("v(X) :- e(X,Y), f(Y).\ne(a,b).\nf(b).\n")
+    for goal in (Atom("v", ("c",)), Atom("v", ("new_1",))):
+        x = goal.args[0]
+        assert insertion_candidates(db, goal) == (
+            Transaction(frozenset({Atom("e", (x, "b"))}), frozenset()),
+        )

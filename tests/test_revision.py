@@ -62,6 +62,13 @@ def test_kernel_insert_ignores_constraints(basic):
     )
 
 
+def test_kernel_insert_is_raw_and_revise_checks_the_goal():
+    # storing a makes q true, so the kernel candidate +a misses p
+    db = Database.parse("p :- a, not q.\nq :- a, b.\nb.\n")
+    assert kernel_change(db, Atom("p"), "insert") == (Transaction(atoms("a"), frozenset()),)
+    assert revise(db, Atom("p")) == ()
+
+
 def test_kernel_delete_cuts_every_link_of_a_long_chain():
     # 1024 kernels over a union of 20 facts: a sweep over the 2^20 subsets
     # takes about 10 s, the transversals well under a tenth of that
@@ -170,6 +177,12 @@ def test_revise_vacuous(basic):
 def test_revise_unrealizable():
     db = Database.parse("p :- b.\n:- b.\n")
     assert revise(db, Atom("p")) == ()
+
+
+def test_revise_rejects_goals_that_would_invalidate_the_database(basic):
+    for goal in (Atom("eq", ("a", "b")), Atom("p", ("a",)), Atom("q", ("X",))):
+        with pytest.raises(ValueError):
+            revise(basic, goal)
 
 
 def test_revise_repairs_existing_violation():

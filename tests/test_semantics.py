@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vud import semantics
 from vud.deletion import deletion_candidates
-from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, fact, parse_program
+from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, Transaction, fact, parse_program
 from vud.semantics import (
     build_proof_tree,
     check_ic,
@@ -111,11 +111,39 @@ def test_model_computed_once_per_database(monkeypatch):
     monkeypatch.setattr(semantics, "fixpoint_model", counting)
     assert check_ic(db) == ()
     assert build_proof_tree(db, Atom("p")).proved()
-    assert deletion_candidates(db, Atom("p")) == (atoms("a"),)
     assert calls == []
+    # the put-one-back test evaluates the candidate cuts, but never db's
+    # own facts: putting back the one fact of the cut {a} gives db itself
+    assert deletion_candidates(db, Atom("p")) == (atoms("a"),)
+    assert calls and all(facts != db.edb for _, facts, _ in calls)
     # an equal database keeps a model of its own, and the count sees it
+    calls.clear()
     least_model(Database.load(str(DATA / "basic.dl")))
     assert len(calls) == 1
+
+
+def test_apply_returns_db_when_the_facts_stay(monkeypatch):
+    db = Database.load(str(DATA / "basic.dl"))
+    least_model(db)
+    calls = []
+    compute = semantics.fixpoint_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "fixpoint_model", counting)
+    for tx in (
+        Transaction(),
+        Transaction(atoms("a"), frozenset()),  # a is stored already
+        Transaction(frozenset(), atoms("b")),  # b is not stored
+        Transaction(atoms("e"), atoms("b")),
+    ):
+        assert tx.apply(db) is db
+        assert least_model(tx.apply(db)) == least_model(db)
+    assert calls == []
+    changed = Transaction(frozenset(), atoms("a")).apply(db)
+    assert changed is not db and changed.edb == atoms("e", "f")
 
 
 def test_reduct():
