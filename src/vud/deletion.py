@@ -130,34 +130,54 @@ def build_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
     branch per head literal; a literal whose complement is on the branch
     closes its child, an empty head closes the branch itself.  Termination:
     every child strictly grows the branch within a fixed literal universe.
+
+    Each atom of the program gets two bits, one per sign, so a pending
+    branch is its literal order plus an integer mask, and each clause a
+    body mask, a head mask and its head literals with their own and their
+    complement's bit.  The selection rule is unchanged: clauses are tried
+    in program order, so the branches, their order, peak_live and
+    expansions are those of a scan over literal sets.  Only a finished
+    branch builds its frozenset.
     """
     program = (request,) + tuple(clauses)
-    stack: list[tuple[Literal, ...]] = [()]
+    index: dict[Atom, int] = {}  # atom k: bit 2k positive, bit 2k+1 negated
+    compiled: list[tuple[int, int, tuple[tuple[Literal, int, int], ...]]] = []
+    for c in program:
+        body = head = 0
+        for lit in c.body:
+            body |= 1 << (2 * index.setdefault(lit.atom, len(index)) + lit.negated)
+        disjuncts = []
+        for lit in c.head:
+            k = 2 * index.setdefault(lit.atom, len(index))
+            own = 1 << (k + lit.negated)
+            head |= own
+            disjuncts.append((lit, own, 1 << (k + (not lit.negated))))
+        compiled.append((body, head, tuple(disjuncts)))
+    stack: list[tuple[tuple[Literal, ...], int]] = [((), 0)]
     branches: list[Branch] = []
     peak = 0
     expansions = 0
     while stack:
         peak = max(peak, len(stack))
-        order = stack.pop()
-        lits = frozenset(order)
-        chosen = None
-        for c in program:
-            if set(c.body) <= lits and not set(c.head) & lits:
-                chosen = c
+        order, held = stack.pop()
+        absent = ~held
+        for body, head, disjuncts in compiled:
+            if not body & absent and not head & held:
                 break
-        if chosen is None:
-            branches.append(Branch(lits, order, closed=False))
+        else:
+            branches.append(Branch(frozenset(order), order, closed=False))
             continue
         expansions += 1
-        if not chosen.head:
-            branches.append(Branch(lits, order, closed=True))
+        if not disjuncts:
+            branches.append(Branch(frozenset(order), order, closed=True))
             continue
-        children: list[tuple[Literal, ...]] = []
-        for disjunct in chosen.head:
-            if disjunct.complement() in lits:
-                branches.append(Branch(lits | {disjunct}, order + (disjunct,), closed=True))
+        children: list[tuple[tuple[Literal, ...], int]] = []
+        for disjunct, own, complement in disjuncts:
+            if complement & held:
+                grown = order + (disjunct,)
+                branches.append(Branch(frozenset(grown), grown, closed=True))
             else:
-                children.append(order + (disjunct,))
+                children.append((order + (disjunct,), held | own))
         stack.extend(reversed(children))
     return Tableau(tuple(branches), peak, expansions)
 
@@ -190,13 +210,29 @@ def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]
     tableau branch order.
 
     Each open branch's deletions are a candidate; those that delete more
-    than needed are filtered by the put-one-back test.  An atom that is not
-    derivable to begin with needs no deletion and yields the single empty
-    candidate.
+    than needed are dropped.  An atom that is not derivable to begin with
+    needs no deletion and yields the single empty candidate.
+
+    Without negation in any rule body, removing facts only removes proofs.
+    Every open branch is then a cut, the branches hold every minimal cut,
+    and the put-one-back test holds for a cut exactly when no other branch
+    cut is a strict subset of it; so the subset-minimal cuts are kept, with
+    no model computed.  A negated literal, even over a base predicate, lets
+    a removal create a proof, so such a database puts each candidate
+    through strongly_minimal instead.
     """
     if atom not in least_model(db):
         return (frozenset(),)
     tableau = build_tableau(deletion_program(db), delete_request(atom))
     candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
-    return tuple(c for c in candidates if strongly_minimal(db, atom, c))
-
+    if any(l.negated for r in db.idb for l in r.body):
+        return tuple(c for c in candidates if strongly_minimal(db, atom, c))
+    # smallest first, each against the minimal cuts kept so far: a cut with
+    # a strict subset among the candidates has a minimal one below it, and
+    # the candidates are distinct, so no kept cut of its own size is a subset
+    minimal: list[frozenset[Atom]] = []
+    for c in sorted(candidates, key=len):
+        if not any(m <= c for m in minimal):
+            minimal.append(c)
+    kept = set(minimal)
+    return tuple(c for c in candidates if c in kept)

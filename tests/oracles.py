@@ -10,7 +10,8 @@ and the same clauses in the same order.  The hitting-set references are
 the exhaustive subset sweep that vud.hitting's incremental transversals
 replaced, a branch-and-bound version and is_hitting_set.  edb_cuts is a
 second formulation of a production function that production does not call;
-the tests check that both formulations agree.  The *_loop functions are
+the tests check that both formulations agree.  scanning_tableau is the
+deletion tableau over literal sets that the bitmask one replaced.  The *_loop functions are
 the four put-one-back loops that Transaction.undo_each replaced, each
 building its databases with Database.with_edb.
 """
@@ -21,7 +22,7 @@ import itertools
 from collections import deque
 from typing import Collection, Iterable, Sequence
 
-from vud.deletion import Clause, transform_rules
+from vud.deletion import Branch, Clause, Tableau, transform_rules
 from vud.explain import local_explanations, minimal_members
 from vud.insertion import derivable
 from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, ground_program, is_variable, stratify
@@ -498,3 +499,41 @@ def insert_strong_relevance_loop(db: Database, atom: Atom, tx: Transaction) -> b
         if atom in least_model(slim):
             return False
     return True
+
+
+# --- deletion tableau -----------------------------------------------------------
+
+
+def scanning_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
+    """vud.deletion.build_tableau over literal sets: every expansion scans
+    the clauses for the first whose body is on the branch and whose head
+    is not."""
+    program = (request,) + tuple(clauses)
+    stack: list[tuple[Literal, ...]] = [()]
+    branches: list[Branch] = []
+    peak = 0
+    expansions = 0
+    while stack:
+        peak = max(peak, len(stack))
+        order = stack.pop()
+        lits = frozenset(order)
+        chosen = None
+        for c in program:
+            if set(c.body) <= lits and not set(c.head) & lits:
+                chosen = c
+                break
+        if chosen is None:
+            branches.append(Branch(lits, order, closed=False))
+            continue
+        expansions += 1
+        if not chosen.head:
+            branches.append(Branch(lits, order, closed=True))
+            continue
+        children: list[tuple[Literal, ...]] = []
+        for disjunct in chosen.head:
+            if disjunct.complement() in lits:
+                branches.append(Branch(lits | {disjunct}, order + (disjunct,), closed=True))
+            else:
+                children.append(order + (disjunct,))
+        stack.extend(reversed(children))
+    return Tableau(tuple(branches), peak, expansions)

@@ -1,7 +1,10 @@
 """Transformations, tableau construction, deletion candidates."""
 
+import random
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from vud.lang import Atom, Database, Literal, unique
@@ -20,8 +23,18 @@ from vud.deletion import (
 )
 from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
+from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
+from vud.semantics import least_model
 
-from oracles import clause_models, edb_cuts, minimal_sets, naive_model, saturated_sets
+from oracles import (
+    clause_models,
+    edb_cuts,
+    minimal_sets,
+    naive_model,
+    saturated_sets,
+    scanning_tableau,
+    strongly_minimal_loop,
+)
 from strategies import dbs_with_derivable_goal
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -223,3 +236,118 @@ def test_tableau_matches_oracle_on_random_programs(case):
     tab = build_tableau(program, request)
     pairs = [(request.head, request.body)] + [(c.head, c.body) for c in program]
     assert {b.literals for b in tab.open()} == set(saturated_sets(pairs))
+
+
+# --- the bitmask tableau and the monotone route, against the slow paths ---
+
+CORPORA = {
+    "plain": GeneratorConfig(acyclic=True),
+    "negation+denials": GeneratorConfig(negation=True, constraints=True),
+    "cyclic": GeneratorConfig(),
+}
+
+
+def _goals(db: Database, seed: int) -> list[Atom]:
+    """A few derivable view atoms and one random view atom, derivable or not."""
+    derived = sorted(a for a in least_model(db) if a.pred in db.view_predicates)
+    return derived[:4] + [random_ground_atom(db, seed)]
+
+
+def _corpus_cases(cfg: GeneratorConfig, seeds: range):
+    for seed in seeds:
+        db = random_database(seed, cfg)
+        for goal in _goals(db, seed):
+            yield db, goal
+
+
+def _data_cases():
+    for name in ("basic.dl", "staff.dl"):
+        db = Database.load(str(DATA / name))
+        for goal in sorted(a for a in least_model(db) if a.pred in db.view_predicates):
+            yield db, goal
+
+
+def _assert_same_tableau(db: Database, goal: Atom) -> None:
+    for program in (deletion_program(db), materialized_program(db)):
+        # every field: each branch's literals, order and closed flag, the
+        # branch order, peak_live and expansions
+        want = scanning_tableau(program, delete_request(goal))
+        assert build_tableau(program, delete_request(goal)) == want, (db.rules, goal)
+
+
+def test_tableau_matches_scanning_oracle_on_chains_and_data():
+    for n in range(1, 9):
+        _assert_same_tableau(chain_database(n), Atom("p1"))
+    for db, goal in _data_cases():
+        _assert_same_tableau(db, goal)
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_tableau_matches_scanning_oracle_on_corpora(name):
+    for db, goal in _corpus_cases(CORPORA[name], range(40)):
+        _assert_same_tableau(db, goal)
+
+
+def test_tableau_matches_scanning_oracle_on_signed_programs():
+    # both signs of an atom in play, so children close on a complement as
+    # well as on an empty head, which delete requests never produce
+    rng = random.Random(7)
+    closers = 0
+    for _ in range(300):
+        pool = [Literal(Atom("s%d" % i), sign) for i in range(rng.randint(2, 6)) for sign in (False, True)]
+        request = Clause(tuple(rng.sample(pool, rng.randint(1, 2))))
+        clauses = [
+            Clause(tuple(rng.sample(pool, rng.randint(0, 3))), tuple(rng.sample(pool, rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        got = build_tableau(clauses, request)
+        assert got == scanning_tableau(clauses, request), (clauses, request)
+        closers += sum(b.closed and b.order[-1].complement() in b.literals for b in got.branches)
+    assert closers
+
+
+def _put_back_filtered(db: Database, goal: Atom) -> tuple[frozenset[Atom], ...]:
+    """The raw branch cuts, filtered by the put-one-back loop."""
+    if goal not in least_model(db):
+        return (frozenset(),)
+    return tuple(c for c in raw_cuts(db, goal) if strongly_minimal_loop(db, goal, c))
+
+
+def test_deletion_candidates_match_put_back_filter_on_chains():
+    for n in range(1, 11):
+        db = chain_database(n)
+        assert deletion_candidates(db, Atom("p1")) == _put_back_filtered(db, Atom("p1")), n
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_deletion_candidates_match_put_back_filter_on_corpora(name):
+    negated = 0
+    for db, goal in _corpus_cases(CORPORA[name], range(60)):
+        assert deletion_candidates(db, goal) == _put_back_filtered(db, goal), (db.rules, goal)
+        negated += any(l.negated for r in db.idb for l in r.body)
+    assert negated if name == "negation+denials" else not negated
+
+
+def test_negation_keeps_the_put_back_test():
+    # The only branch cut is {e1(a,a)}, and no other cut is a subset of it,
+    # so a subset filter would offer it.  But removing e1(a,a) loses v1(a),
+    # which makes `not v1(a)` true and proves v3(b) through the second rule.
+    db = Database.parse(
+        "v1(a) :- e1(Y1,Y2), e1(a,Y1).\n"
+        "v2(b) :- e2.\n"
+        "v3(b) :- v1(Y2), not v2(Y2).\n"
+        "v3(b) :- e2, not v1(a).\n"
+        "e1(a,a). e1(b,a). e2.\n"
+    )
+    goal = A("v3", "b")
+    assert raw_cuts(db, goal) == (frozenset({A("e1", "a", "a")}),)
+    assert deletion_candidates(db, goal) == ()
+
+
+def test_chain_deletion_cuts_every_link_quickly():
+    # 16383 open branches with 14 minimal cuts among them; the put-one-back
+    # test on every branch took about 5 s, the subset filter well under 1 s
+    t0 = time.perf_counter()
+    cuts = deletion_candidates(chain_database(14), Atom("p1"))
+    assert time.perf_counter() - t0 < 2.0
+    assert cuts == tuple(atoms("a%d" % i, "b%d" % i) for i in range(1, 15))

@@ -112,14 +112,31 @@ def test_model_computed_once_per_database(monkeypatch):
     assert check_ic(db) == ()
     assert build_proof_tree(db, Atom("p")).proved()
     assert calls == []
-    # the put-one-back test evaluates the candidate cuts, but never db's
-    # own facts: putting back the one fact of the cut {a} gives db itself
+    # without negation the deletion cuts are filtered by subset alone
     assert deletion_candidates(db, Atom("p")) == (atoms("a"),)
-    assert calls and all(facts != db.edb for _, facts, _ in calls)
+    assert calls == []
     # an equal database keeps a model of its own, and the count sees it
     calls.clear()
     least_model(Database.load(str(DATA / "basic.dl")))
     assert len(calls) == 1
+
+
+def test_put_back_never_evaluates_the_database_itself(monkeypatch):
+    db = Database.parse("p :- a, not b.\na.\n")
+    least_model(db)
+    calls = []
+    compute = semantics.fixpoint_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "fixpoint_model", counting)
+    # with a negated literal the put-one-back test evaluates the candidate
+    # cuts, but never db's own facts: putting back the one fact of the cut
+    # {a} gives db itself
+    assert deletion_candidates(db, Atom("p")) == (atoms("a"),)
+    assert calls and all(facts != db.edb for _, facts, _ in calls)
 
 
 def test_apply_returns_db_when_the_facts_stay(monkeypatch):
