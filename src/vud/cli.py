@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .lang import (
+    EQ,
     MAX_ROUNDS,
     Atom,
     Database,
+    Literal,
     NotStratifiableError,
     ParseError,
     Transaction,
@@ -29,12 +31,13 @@ from .lang import (
     stratify,
     validate,
 )
-from .semantics import build_proof_tree, check_ic, least_model, render_proof_tree
+from .semantics import build_proof_tree, check_ic, least_model, literal_holds, render_proof_tree
 from .engine import UnrealizableError, UpdateRequest, view_update
 
 
 def parse_atom(text: str) -> Atom:
-    """Read one ground atom written as in a program, trailing dot optional."""
+    """Read one ground atom written as in a program, trailing dot optional;
+    an eq atom needs its two arguments."""
     body = text.strip()
     if body.endswith("."):
         body = body[:-1].rstrip()
@@ -47,6 +50,8 @@ def parse_atom(text: str) -> Atom:
     assert atom is not None
     if not atom.is_ground:
         raise ValueError("atom %s contains variables" % atom)
+    if atom.pred == EQ and len(atom.args) != 2:
+        raise ValueError("eq takes exactly two arguments")
     return atom
 
 
@@ -64,6 +69,12 @@ def load_database(path: str, err: IO[str]) -> Database | None:
         return None
     stratify(db.rules)
     return db
+
+
+def _truth(db: Database, atom: Atom) -> str:
+    """The answer to a query: eq is decided on its arguments, any other
+    atom by the model."""
+    return "true" if literal_holds(Literal(atom), least_model(db)) else "false"
 
 
 def _edb_line(db: Database) -> str:
@@ -106,8 +117,7 @@ def cmd_model(db: Database, args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_query(db: Database, args: argparse.Namespace, out: IO[str]) -> int:
-    atom = parse_atom(args.atom)
-    print("true" if atom in least_model(db) else "false", file=out)
+    print(_truth(db, parse_atom(args.atom)), file=out)
     return 0
 
 
@@ -173,8 +183,7 @@ class Session:
             self.done = True
             return ""
         if word == "query":
-            atom = parse_atom(self._dotted(rest))
-            return "true" if atom in least_model(self.db) else "false"
+            return _truth(self.db, parse_atom(self._dotted(rest)))
         if word in ("insert", "delete"):
             atom = parse_atom(self._dotted(rest))
             request = (

@@ -10,9 +10,11 @@ part is a candidate deletion.
 
 A second transformation pivots on the current model instead of deleting
 everything: atoms true in the model move across the arrow negated, atoms
-false in it stay in place.  The resulting clauses mention both deletions and
-(positive) insertions, which suits reasoning over a materialized view, at
-the price of branches that are not always minimal.
+false in it stay in place.  It keeps every rule instance, but from a delete
+request only the clauses of firing instances and violated denials ever
+apply (every other clause has a positive body literal, and no clause puts
+one on a branch), so its branches hold deletions only; what it changes is
+that every branch cut is offered, with no minimality filter.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lang import EQ, Atom, Database, Literal, Rule, Transaction, unique
+from .lang import EQ, Atom, Database, Literal, Rule, Transaction, antichain, unique
 from .semantics import firing_instances, least_model, reduct
 
 
@@ -83,9 +85,9 @@ def deletion_program(db: Database) -> tuple[Clause, ...]:
 def materialized_program(db: Database) -> tuple[Clause, ...]:
     """Every ground rule and constraint pivoted on the current model.
 
-    Unlike deletion_program this keeps non-firing rules, so the clause set
-    can talk about insertions as well as deletions, and it carries the
-    denial constraints along as closing clauses.
+    Unlike deletion_program this keeps non-firing rules and carries the
+    denial constraints along; a tableau seeded with a delete request
+    applies only the firing instances and the violated denials.
     """
     model = least_model(db)
     universe = db.universe()
@@ -187,15 +189,6 @@ def branch_deletions(branch: Branch, edb: frozenset[Atom]) -> frozenset[Atom]:
     return frozenset(l.atom for l in branch.literals if l.negated and l.atom in edb)
 
 
-def branch_additions(branch: Branch, edb: frozenset[Atom], base_preds: frozenset[str]) -> frozenset[Atom]:
-    """The absent base facts a branch wants stored."""
-    return frozenset(
-        l.atom
-        for l in branch.literals
-        if not l.negated and l.atom.pred in base_preds and l.atom not in edb
-    )
-
-
 def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:
     """True when removing the candidate's stored facts makes atom
     underivable and putting any single one back restores a proof of it."""
@@ -216,10 +209,10 @@ def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]
     Without negation in any rule body, removing facts only removes proofs.
     Every open branch is then a cut, the branches hold every minimal cut,
     and the put-one-back test holds for a cut exactly when no other branch
-    cut is a strict subset of it; so the subset-minimal cuts are kept, with
-    no model computed.  A negated literal, even over a base predicate, lets
-    a removal create a proof, so such a database puts each candidate
-    through strongly_minimal instead.
+    cut is a strict subset of it; so antichain keeps the subset-minimal
+    cuts, with no model computed.  A negated literal, even over a base
+    predicate, lets a removal create a proof, so such a database puts each
+    candidate through strongly_minimal instead.
     """
     if atom not in least_model(db):
         return (frozenset(),)
@@ -227,12 +220,4 @@ def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]
     candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
     if any(l.negated for r in db.idb for l in r.body):
         return tuple(c for c in candidates if strongly_minimal(db, atom, c))
-    # smallest first, each against the minimal cuts kept so far: a cut with
-    # a strict subset among the candidates has a minimal one below it, and
-    # the candidates are distinct, so no kept cut of its own size is a subset
-    minimal: list[frozenset[Atom]] = []
-    for c in sorted(candidates, key=len):
-        if not any(m <= c for m in minimal):
-            minimal.append(c)
-    kept = set(minimal)
-    return tuple(c for c in candidates if c in kept)
+    return tuple(antichain(candidates))

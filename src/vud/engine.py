@@ -17,8 +17,8 @@ request is unrealizable and the error carries a trace of what was tried.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
-the transformed program for the whole database and reports every verified
-branch.
+the transformed program for the whole database and reports the deletions
+of every verified branch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .deletion import (
-    branch_additions,
     branch_deletions,
     build_tableau,
     delete_request,
@@ -127,10 +126,7 @@ def _delete_family(db: Database, goal: Atom, variant: str) -> tuple[Transaction,
     if goal.pred in db.view_predicates:
         if variant == "materialized":
             tableau = build_tableau(materialized_program(db), delete_request(goal))
-            return unique(
-                Transaction(branch_additions(b, db.edb, db.base_predicates), branch_deletions(b, db.edb))
-                for b in tableau.open()
-            )
+            return unique(Transaction(frozenset(), branch_deletions(b, db.edb)) for b in tableau.open())
         return tuple(
             Transaction(frozenset(), cut) for cut in deletion_candidates(db, goal)
         )

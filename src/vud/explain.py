@@ -10,18 +10,13 @@ almost-proof needs.
 
 from __future__ import annotations
 
-from .lang import Atom, Database, unique
+from .lang import Atom, Database, antichain, unique
 from .semantics import build_proof_tree
 
 
 def minimal_members(family) -> tuple[frozenset[Atom], ...]:
     """Subset-minimal members, smallest first, ties broken lexically."""
-    fam = sorted(set(family), key=lambda s: (len(s), sorted(s)))
-    out: list[frozenset[Atom]] = []
-    for s in fam:
-        if not any(m < s for m in out):
-            out.append(s)
-    return tuple(out)
+    return tuple(antichain(sorted(set(family), key=lambda s: (len(s), sorted(s)))))
 
 
 def local_explanations(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:

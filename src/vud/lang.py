@@ -24,6 +24,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Ty
 EQ = "eq"
 
 T = TypeVar("T")
+S = TypeVar("S", frozenset, "Transaction")
 
 
 def is_variable(term: str) -> bool:
@@ -132,9 +133,13 @@ class Transaction:
     def size(self) -> int:
         return len(self.additions) + len(self.removals)
 
-    def covers(self, other: "Transaction") -> bool:
-        """True when other changes nothing this one does not also change."""
-        return other.additions <= self.additions and other.removals <= self.removals
+    def __len__(self) -> int:
+        return self.size
+
+    def __le__(self, other: "Transaction") -> bool:
+        """True when this changes nothing other does not also change: the
+        subset order of sets, which antichain filters by."""
+        return self.additions <= other.additions and self.removals <= other.removals
 
     def merge(self, other: "Transaction") -> "Transaction":
         return Transaction(self.additions | other.additions, self.removals | other.removals)
@@ -160,10 +165,21 @@ class Transaction:
         return (self.size, sorted(map(str, self.additions)), sorted(map(str, self.removals)))
 
 
-def antichain(txs: Sequence[Transaction]) -> list[Transaction]:
-    """The members that cover no other member, in their given order.
-    Expects distinct members."""
-    return [t for t in txs if not any(o is not t and t.covers(o) for o in txs)]
+def antichain(family: Sequence[S]) -> list[S]:
+    """The subset-minimal members of a family of distinct sets or
+    transactions, in their given order.
+
+    Smallest first, each member is compared only with the minimal members
+    kept so far: a member with a strict subset in the family has a minimal
+    one below it, and the members are distinct, so no kept member of its
+    own size is a subset of it.
+    """
+    minimal: list[S] = []
+    for m in sorted(family, key=len):
+        if not any(k <= m for k in minimal):
+            minimal.append(m)
+    kept = set(minimal)
+    return [m for m in family if m in kept]
 
 
 def unique(items: Iterable[T]) -> tuple[T, ...]:

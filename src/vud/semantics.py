@@ -520,26 +520,25 @@ class ProofLeaf:
 
 @dataclass(frozen=True)
 class ProofNode:
+    """One resolution step: the pending goal, the literal selected from it
+    and the node's depth below the root; a terminal node carries its leaf."""
+
     goal: tuple[Literal, ...]
     selected: Literal | None
-    children: tuple["ProofNode", ...] = ()
+    depth: int
     leaf: ProofLeaf | None = None
 
 
 @dataclass(frozen=True)
 class ProofTree:
-    root: ProofNode
+    """A resolution tree as its nodes in preorder, each with its depth: a
+    node's subtree is the run of deeper nodes that follows it."""
+
     goal: Atom
+    nodes: tuple[ProofNode, ...]
 
     def leaves(self) -> tuple[ProofLeaf, ...]:
-        out: list[ProofLeaf] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.leaf is not None:
-                out.append(node.leaf)
-            stack.extend(reversed(node.children))
-        return tuple(out)
+        return tuple(n.leaf for n in self.nodes if n.leaf is not None)
 
     def success_sets(self) -> tuple[frozenset[Atom], ...]:
         """Fact sets consumed by proofs that needed no hypothesised facts,
@@ -580,15 +579,13 @@ def build_proof_tree(
     # so a repeated subgoal is a loop only on its own derivation path and a
     # second occurrence elsewhere in the conjunction still gets expanded.
     # Depth first with an explicit stack, since a proof nests one level per
-    # subgoal and long chains go deeper than Python's recursion limit: nodes
-    # are recorded in preorder, then built children first.
+    # subgoal and long chains go deeper than Python's recursion limit; nodes
+    # are recorded in preorder.
     start: tuple[tuple[Literal, frozenset[Atom]], ...] = ((Literal(goal), frozenset()),)
-    stack = [(start, frozenset(), frozenset(), -1)]
-    order: list[tuple[tuple[Literal, ...], Literal | None, ProofLeaf | None, list[int]]] = []
+    stack = [(start, frozenset(), frozenset(), 0)]
+    nodes: list[ProofNode] = []
     while stack:
-        pending, used, assumed, parent = stack.pop()
-        if parent >= 0:
-            order[parent][3].append(len(order))
+        pending, used, assumed, depth = stack.pop()
         lit, kind, below = None, None, []
         if not pending:
             kind = "success"
@@ -613,27 +610,20 @@ def build_proof_tree(
             if kind is None and not below:
                 kind = "failure"
         leaf = None if kind is None else ProofLeaf(kind, used, assumed, failed_on=lit)
-        stack.extend((*b, len(order)) for b in reversed(below))
-        order.append((tuple(l for l, _ in pending), lit, leaf, []))
-    nodes: list[ProofNode] = [None] * len(order)  # type: ignore[list-item]
-    for i in reversed(range(len(order))):
-        goal_lits, lit, leaf, kids = order[i]
-        nodes[i] = ProofNode(goal_lits, lit, tuple(nodes[k] for k in kids), leaf)
-    return ProofTree(nodes[0], goal)
+        stack.extend((*b, depth + 1) for b in reversed(below))
+        nodes.append(ProofNode(tuple(l for l, _ in pending), lit, depth, leaf))
+    return ProofTree(goal, tuple(nodes))
 
 
 def render_proof_tree(tree: ProofTree) -> str:
     """Indented text rendering, one node per line."""
     lines: list[str] = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for node in tree.nodes:
         goal = ", ".join(str(l) for l in node.goal) if node.goal else "[]"
         tag = ""
         if node.leaf is not None:
             tag = " (%s)" % node.leaf.kind
             if node.leaf.kind == "success" and node.leaf.assumed:
                 tag = " (success, assuming %s)" % ", ".join(str(a) for a in sorted(node.leaf.assumed))
-        lines.append("  " * depth + goal + tag)
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        lines.append("  " * node.depth + goal + tag)
     return "\n".join(lines)

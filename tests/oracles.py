@@ -10,10 +10,13 @@ and the same clauses in the same order.  The hitting-set references are
 the exhaustive subset sweep that vud.hitting's incremental transversals
 replaced, a branch-and-bound version and is_hitting_set.  edb_cuts is a
 second formulation of a production function that production does not call;
-the tests check that both formulations agree.  scanning_tableau is the
-deletion tableau over literal sets that the bitmask one replaced.  The *_loop functions are
-the four put-one-back loops that Transaction.undo_each replaced, each
-building its databases with Database.with_edb.
+the tests check that both formulations agree.  antichain_pairwise is the
+quadratic subset-minimal filter that vud.lang.antichain replaced, and
+minimal_sets the loop vud.explain.minimal_members ran before it used
+antichain.  scanning_tableau is the deletion tableau over literal sets
+that the bitmask one replaced.  The *_loop functions are the four
+put-one-back loops that Transaction.undo_each replaced, each building its
+databases with Database.with_edb.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections import deque
 from typing import Collection, Iterable, Sequence
 
 from vud.deletion import Branch, Clause, Tableau, transform_rules
-from vud.explain import local_explanations, minimal_members
+from vud.explain import local_explanations
 from vud.insertion import derivable
 from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, ground_program, is_variable, stratify
 from vud.semantics import check_ic, fixpoint_model, least_model, reduct
@@ -245,12 +248,21 @@ def stable_models(rules: Sequence[Rule], facts: Iterable[Atom]) -> list[frozense
 
 
 def minimal_sets(family: Iterable[frozenset]) -> list[frozenset]:
+    """vud.explain.minimal_members as a loop of its own: the subset-minimal
+    members, smallest first, ties broken lexically."""
     fam = sorted(set(family), key=lambda s: (len(s), sorted(s)))
     out: list[frozenset] = []
     for s in fam:
         if not any(m < s for m in out):
             out.append(s)
     return out
+
+
+def antichain_pairwise(family: Sequence) -> list:
+    """vud.lang.antichain with every member compared with every other: the
+    members of a family of distinct sets or transactions with no other
+    member below them, in their given order."""
+    return [t for t in family if not any(o is not t and o <= t for o in family)]
 
 
 def subset_explanations(idb: Sequence[Rule], universe: Iterable[Atom], goal: Atom) -> list[frozenset[Atom]]:
@@ -444,7 +456,7 @@ def edb_cuts(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     if not family:
         return ()
     picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}
-    return tuple(minimal_members(picks))
+    return tuple(minimal_sets(picks))
 
 
 # --- put-one-back loops -------------------------------------------------------

@@ -32,6 +32,12 @@ def test_query_false(capsys):
     assert out == "false\n"
 
 
+def test_query_eq_is_decided_on_its_arguments(capsys):
+    assert run(capsys, "query", BASIC, "eq(a,a)") == (0, "true\n", "")
+    assert run(capsys, "query", BASIC, "eq(a,b)") == (0, "false\n", "")
+    assert run(capsys, "query", BASIC, "eq(a)") == (1, "", "error: eq takes exactly two arguments\n")
+
+
 def test_model_lists_sorted_atoms(capsys):
     code, out, _ = run(capsys, "model", BASIC)
     assert code == 0
@@ -202,6 +208,28 @@ def test_repl_show_commands():
     assert ":- b." in ic and "satisfied" in ic
     tree = s.execute("show tree a.")
     assert "(success)" in tree
+    assert s.execute("show tree p.").splitlines() == [
+        "p",
+        "  a, e",
+        "    e",
+        "      [] (success)",
+        "  b, f (failure)",
+        "  q",
+        "    a, f",
+        "      f",
+        "        [] (success)",
+        "    b, e (failure)",
+        "    a",
+        "      [] (success)",
+    ]
+
+
+def test_repl_query_eq_agrees_with_its_proof_tree():
+    s = session()
+    assert s.execute("query eq(a,a).") == "true"
+    assert s.execute("show tree eq(a,a).").splitlines() == ["eq(a,a)", "  [] (success)"]
+    assert s.execute("query eq(a,b).") == "false"
+    assert s.execute("show tree eq(a).") == "error: eq takes exactly two arguments"
 
 
 def test_repl_error_handling():

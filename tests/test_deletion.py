@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from vud.lang import Atom, Database, Literal, unique
+from vud.lang import EQ, Atom, Database, Literal, Rule, unique
 from vud.deletion import (
     Branch,
     Clause,
-    branch_additions,
     branch_deletions,
     build_tableau,
     delete_request,
@@ -24,7 +23,7 @@ from vud.deletion import (
 from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
-from vud.semantics import least_model
+from vud.semantics import check_ic, least_model
 
 from oracles import (
     clause_models,
@@ -196,8 +195,6 @@ def test_branch_extraction_helpers():
         closed=False,
     )
     assert branch_deletions(branch, atoms("a", "e")) == atoms("a")
-    assert branch_additions(branch, atoms("a", "e"), frozenset({"c"})) == atoms("c")
-    assert branch_additions(branch, atoms("a", "c"), frozenset({"c"})) == frozenset()
 
 
 def test_clause_str():
@@ -304,6 +301,28 @@ def test_tableau_matches_scanning_oracle_on_signed_programs():
         assert got == scanning_tableau(clauses, request), (clauses, request)
         closers += sum(b.closed and b.order[-1].complement() in b.literals for b in got.branches)
     assert closers
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_materialized_tableau_applies_only_fired_rules_and_violated_denials(name):
+    # every other materialized clause has a positive body literal, and no
+    # clause puts one on a branch seeded with a delete request
+    violating = 0
+    for seed in range(300):
+        db = random_database(seed, CORPORA[name])
+        model = least_model(db)
+        denials = [
+            Rule(None, tuple(l for l in r.body if not l.negated and l.atom.pred != EQ))
+            for r in check_ic(db)
+        ]
+        applicable = deletion_program(db) + transform_rules(denials, model)
+        materialized = materialized_program(db)
+        for goal in sorted(a for a in model if a.pred in db.view_predicates):
+            got = build_tableau(materialized, delete_request(goal))
+            assert got == build_tableau(applicable, delete_request(goal)), (db.rules, goal)
+            assert all(l.negated for b in got.branches for l in b.literals), (db.rules, goal)
+            violating += bool(denials)
+    assert violating if name == "negation+denials" else not violating
 
 
 def _put_back_filtered(db: Database, goal: Atom) -> tuple[frozenset[Atom], ...]:

@@ -1,5 +1,6 @@
 """Explanation families, pinned against subset enumeration."""
 
+import random
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -70,6 +71,15 @@ def test_minimal_members():
     assert minimal_members(fam) == (atoms("a"), atoms("e", "f"))
     assert minimal_members([]) == ()
     assert minimal_members([frozenset()]) == (frozenset(),)
+
+
+def test_minimal_members_match_the_loop():
+    # repeated, empty and nested members, in random order
+    rng = random.Random(5)
+    for _ in range(300):
+        pool = [Atom("a%d" % i) for i in range(rng.randint(1, 7))]
+        family = [frozenset(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(rng.randint(0, 30))]
+        assert minimal_members(family) == tuple(minimal_sets(family)), family
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,6 +1,8 @@
-"""Parser, printer, grounding, stratification, validation."""
+"""Parser, printer, grounding, stratification, validation, the antichain
+filter."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from vud.lang import (
     NotStratifiableError,
     ParseError,
     Rule,
+    Transaction,
+    antichain,
     fact,
     format_database,
     ground_program,
@@ -23,6 +27,8 @@ from vud.lang import (
     validate,
 )
 from vud.semantics import least_model
+
+from oracles import antichain_pairwise
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -187,3 +193,48 @@ _rules = st.one_of(
 def test_print_parse_round_trip(rules):
     db = Database(rules)
     assert Database.parse(format_database(db)) == db
+
+
+# --- the antichain filter, against the pairwise one ---------------------------
+
+
+def _random_sets(rng: random.Random, pool: list[Atom]) -> list[frozenset[Atom]]:
+    """Distinct random subsets of a small pool, so members often nest."""
+    members = [frozenset(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(rng.randint(0, 30))]
+    return list(dict.fromkeys(members))
+
+
+def test_antichain_matches_pairwise_filter_on_sets():
+    rng = random.Random(11)
+    dropped = 0
+    for _ in range(300):
+        pool = [Atom("a%d" % i) for i in range(rng.randint(1, 7))]
+        family = _random_sets(rng, pool)
+        got = antichain(family)
+        assert got == antichain_pairwise(family), family
+        dropped += len(family) - len(got)
+    assert dropped
+
+
+def test_antichain_matches_pairwise_filter_on_transactions():
+    rng = random.Random(12)
+    dropped = 0
+    for _ in range(300):
+        pool = [Atom("a%d" % i) for i in range(rng.randint(1, 6))]
+        family = list(dict.fromkeys(
+            Transaction(adds, removes)
+            for adds, removes in zip(_random_sets(rng, pool), _random_sets(rng, pool))
+        ))
+        got = antichain(family)
+        assert got == antichain_pairwise(family), family
+        dropped += len(family) - len(got)
+    assert dropped
+
+
+def test_transaction_subset_order():
+    a, b = Atom("a"), Atom("b")
+    small = Transaction(frozenset({a}), frozenset())
+    big = Transaction(frozenset({a}), frozenset({b}))
+    assert small <= big and not big <= small
+    assert not Transaction(frozenset(), frozenset({a})) <= big
+    assert len(big) == big.size == 2

@@ -1,5 +1,6 @@
 """Model computation and proof trees, pinned against the slow oracles."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from vud import semantics
 from vud.deletion import deletion_candidates
 from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, Transaction, fact, parse_program
+from vud.randgen import GeneratorConfig, chain_database, random_database
 from vud.semantics import (
     build_proof_tree,
     check_ic,
@@ -257,6 +259,34 @@ def test_deep_chain_proof_tree_within_recursion_limit():
     assert lines[0] == "p0"
     assert lines[1] == "  a0, p1"
     assert lines[-1] == "  " * (2 * n + 2) + "[] (success)"
+
+
+def _proof_tree_digest() -> tuple[int, str]:
+    """The number of trees and a sha256 over their rendered text and each
+    leaf's kind, used and assumed atoms: up to five view atoms of the model
+    per database, each with hypothesize off and on."""
+    dbs = [Database.load(str(p)) for p in sorted(DATA.glob("*.dl"))]
+    dbs += [chain_database(n) for n in range(1, 7)]
+    for cfg in (GeneratorConfig(), GeneratorConfig(negation=True, constraints=True)):
+        dbs += [random_database(seed, cfg) for seed in range(40)]
+    digest = hashlib.sha256()
+    trees = 0
+    for db in dbs:
+        for goal in sorted(a for a in least_model(db) if a.pred in db.view_predicates)[:5]:
+            for hypothesize in (False, True):
+                tree = build_proof_tree(db, goal, hypothesize)
+                digest.update(render_proof_tree(tree).encode())
+                for leaf in tree.leaves():
+                    line = "\n%s %s %s" % (leaf.kind, sorted(map(str, leaf.used)), sorted(map(str, leaf.assumed)))
+                    digest.update(line.encode())
+                digest.update(b"\n\n")
+                trees += 1
+    return trees, digest.hexdigest()
+
+
+def test_proof_trees_match_pinned_digest():
+    # pinned from the nested trees that the flat node list replaced
+    assert _proof_tree_digest() == (232, "cdf01bd1d2bdcb2c37d5dc3c36e960822a00ccfe7149c13e99a982b844ae600c")
 
 
 def test_literal_holds():
