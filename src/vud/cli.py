@@ -27,6 +27,7 @@ from .lang import (
     NotStratifiableError,
     ParseError,
     Transaction,
+    check_arity,
     format_database,
     stratify,
     validate,
@@ -73,7 +74,8 @@ def load_database(path: str, err: IO[str]) -> Database | None:
 
 def _truth(db: Database, atom: Atom) -> str:
     """The answer to a query: eq is decided on its arguments, any other
-    atom by the model."""
+    atom by the model; an atom of another arity than db's is an error."""
+    check_arity(db, atom)
     return "true" if literal_holds(Literal(atom), least_model(db)) else "false"
 
 
@@ -253,6 +255,7 @@ class Session:
             return "\n".join(lines)
         if rest.startswith("tree "):
             atom = parse_atom(rest[len("tree "):])
+            check_arity(self.db, atom)
             return render_proof_tree(build_proof_tree(self.db, atom))
         return "error: show model, show tree <atom>, or show ic"
 

@@ -1,7 +1,7 @@
 """The update engine: turn a view-level request into fact-level changes.
 
 A request names atoms to insert and atoms to delete.  Each goal first gets
-its own candidate family (the delta search for insertions, the tableau for
+its own candidate family (the world search for insertions, the tableau for
 deletions; base atoms are changed directly), the families are combined, and
 every combination is verified against the whole request and the
 constraints.  A combination that fails is re-expanded against its own

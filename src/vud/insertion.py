@@ -1,23 +1,25 @@
-"""View insertion by pushing delta atoms down to the stored facts.
+"""View insertion by pushing changes down to the stored facts.
 
-A request to insert a view atom becomes the delta atom +atom.  Rules are
-first normalised: every predicate defined by several rules gets a canonical
-distinct-variable head and single-atom alternatives (helper predicates _v1,
-_v2, ... absorb conjunctive bodies), and long bodies are folded to two
-literals.  A delta then propagates case by case:
+A request to insert a view atom starts a change that adds that atom.  Rules
+are first normalised: every predicate defined by several rules gets a
+canonical distinct-variable head and single-atom alternatives (helper
+predicates _v1, _v2, ... absorb conjunctive bodies), and long bodies are
+folded to two literals.  An added view atom then propagates case by case:
 
-  +p for an alternative-defined predicate splits into one child per
-  alternative; +p for a conjunctive rule adds a delta for every subgoal not
+  adding p for an alternative-defined predicate splits into one child per
+  alternative; adding p for a conjunctive rule adds every subgoal not
   already true, with body variables outside the head instantiated jointly
   over the known constants, or over one fresh witness constant per rule
   when no stored source can bind them; a subgoal that must become false
-  turns into a removal delta, handled by the deletion machinery.
+  is removed, by the deletion machinery when it is a view atom.
 
-The search explores these choices breadth first over worlds (sets of delta
-atoms); a finished world's base-level deltas form a candidate transaction,
-which is then verified, checked against the constraints, and minimised.
-Both the world search and the verify-and-re-expand search over candidate
-transactions run on lang.breadth_first and share its limits.
+The search explores these choices breadth first over worlds: transactions
+over view and base atoms, each kept only while consistent.  A finished
+world's base part is a candidate transaction, which is then verified,
+checked against the constraints, and minimised.  Both the world search and
+the verify-and-re-expand search over candidate transactions run on
+lang.breadth_first and share its limits.  propagation_rules displays the
+same cases as a delta program over +p/-p atoms.
 Derivability checks run on a goal-guarded rewriting of the rules so only
 atoms relevant to the goal are derived.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .deletion import Clause, deletion_candidates
 from .lang import (
@@ -45,16 +47,6 @@ def delta_add(atom: Atom) -> Atom:
 
 def delta_remove(atom: Atom) -> Atom:
     return Atom(REMOVE + atom.pred, atom.args)
-
-
-def split_delta(atom: Atom) -> tuple[str, Atom]:
-    assert atom.pred[0] in (ADD, REMOVE), atom
-    return atom.pred[0], Atom(atom.pred[1:], atom.args)
-
-
-def delta_seeds(inserts: Iterable[Atom] = (), deletes: Iterable[Atom] = ()) -> frozenset[Atom]:
-    """The delta atoms an update request starts from."""
-    return frozenset(delta_add(a) for a in inserts) | frozenset(delta_remove(a) for a in deletes)
 
 
 # --- normalisation --------------------------------------------------------
@@ -161,12 +153,12 @@ def _match(pattern: Atom, ground: Atom) -> dict[str, str] | None:
 
 
 def propagation_rules(db: Database) -> tuple[Clause, ...]:
-    """The delta program read off the normalised rules, for inspection.
-
-    Heads are alternatives (disjunctive), bodies mix the triggering delta,
-    already-stored source atoms, and companion deltas.  The world search in
-    insertion_worlds applies exactly these cases, instantiating variables
-    outside the rule head jointly over the constants plus a fresh witness.
+    """The delta program read off the normalised rules, for display only:
+    +p adds p, -p removes it.  Heads are alternatives (disjunctive), bodies
+    mix the triggering delta, already-stored source atoms, and companion
+    deltas.  The world search in insertion_worlds applies exactly these
+    cases to transactions, instantiating variables outside the rule head
+    jointly over the constants plus a fresh witness.
     """
     out: list[Clause] = []
     for pred, defn in view_definitions(normalize_rules(db.idb)).items():
@@ -199,15 +191,8 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
 # --- world search ----------------------------------------------------------
 
 
-def _fresh_names(taken: frozenset[str], count: int) -> tuple[str, ...]:
-    names = []
-    k = 1
-    while len(names) < count:
-        name = "new_%d" % k
-        if name not in taken:
-            names.append(name)
-        k += 1
-    return tuple(names)
+def _fresh_names(taken: frozenset[str]) -> Iterator[str]:
+    return (name for name in ("new_%d" % k for k in itertools.count(1)) if name not in taken)
 
 
 def _options_for_add(
@@ -215,13 +200,13 @@ def _options_for_add(
     goal: Atom,
     model: frozenset[Atom],
     universe: tuple[str, ...],
-    fresh: Mapping[int, str],
-) -> list[frozenset[Atom]]:
-    """Joint delta sets, one per (alternative, instantiation) that could make
+    fresh: Sequence[str],
+) -> list[Transaction]:
+    """Joint changes, one per (alternative, instantiation) that could make
     goal derivable.  Variables outside the head range over the constants and
     the alternative's fresh witness; a constant-valued extra variable must be
     bound by some subgoal already true in the model."""
-    options: list[frozenset[Atom]] = []
+    options: list[Transaction] = []
     for idx, body in enumerate(defn.alternatives):
         theta = _match(defn.head, goal)
         if theta is None:
@@ -240,31 +225,21 @@ def _options_for_add(
                     sourced.update(v for v in orig.atom.variables() if v in extra)
             if any(value != witness and v not in sourced for v, value in zip(extra, combo)):
                 continue
-            deltas: set[Atom] = set()
-            for g in ground:
-                if g.atom.pred == EQ:
-                    continue
-                if g.negated:
-                    if g.atom in model:
-                        deltas.add(delta_remove(g.atom))
-                elif g.atom not in model:
-                    deltas.add(delta_add(g.atom))
-            options.append(frozenset(deltas))
+            # subgoals not yet as the body needs them: absent positives are
+            # added, present negated ones removed
+            changes = [g for g in ground if g.atom.pred != EQ and (g.atom in model) == g.negated]
+            options.append(Transaction(frozenset(g.atom for g in changes if not g.negated),
+                                       frozenset(g.atom for g in changes if g.negated)))
     return list(unique(options))
 
 
-def insertion_worlds(
-    db: Database,
-    inserts: Iterable[Atom] = (),
-    deletes: Iterable[Atom] = (),
-    log: SearchLog | None = None,
-) -> tuple[frozenset[Atom], ...]:
-    """Finished delta worlds for the request, breadth first.
+def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> tuple[Transaction, ...]:
+    """Finished worlds for inserting goal, breadth first.
 
-    Every world is a consistent set of delta atoms with all view-level
-    deltas expanded away; its base-level part is a candidate transaction.
-    A world search has no round limit, only the state limit: a stop there
-    is marked on the log and the worlds finished so far are returned.
+    A world is a consistent change to view and base atoms with every view
+    change expanded away; its base part is a candidate transaction.  A
+    world search has no round limit, only the state limit: a stop there is
+    marked on the log and the worlds finished so far are returned.
     """
     if log is None:
         log = SearchLog()
@@ -272,50 +247,40 @@ def insertion_worlds(
     defs = view_definitions(normalized)
     norm_model = fixpoint_model(normalized, db.edb, db.universe())
     universe = tuple(sorted(db.universe()))
-    seeds = delta_seeds(inserts, deletes)
-    # witnesses avoid the request's constants too, or a goal constant
-    # could pass for a fresh one
-    taken = db.universe().union(*(d.args for d in seeds))
-    fresh_pool = _fresh_names(taken, sum(len(d.alternatives) for d in defs.values()))
-    fresh: dict[str, dict[int, str]] = {}
-    i = 0
-    for pred, defn in defs.items():
-        fresh[pred] = {}
-        for idx in range(len(defn.alternatives)):
-            fresh[pred][idx] = fresh_pool[i]
-            i += 1
+    # witnesses avoid the goal's constants too, or a goal constant could
+    # pass for a fresh one
+    names = _fresh_names(db.universe() | set(goal.args))
+    fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
 
-    World = tuple[frozenset[Atom], tuple[Atom, ...]]  # deltas, view deltas to expand
+    Pending = tuple[tuple[str, Atom], ...]  # view changes still to expand
+    World = tuple[Transaction, Pending]
+
+    def views(additions: frozenset[Atom], removals: frozenset[Atom]) -> Pending:
+        """The view changes among these, in expansion order."""
+        pairs = [(ADD, a) for a in additions] + [(REMOVE, a) for a in removals]
+        return tuple(sorted(p for p in pairs if p[1].pred in defs))
 
     def step(world: World, depth: int) -> Callable[[], Iterator[World]] | None:
-        deltas, pending = world
-        return (lambda: expand(deltas, pending)) if pending else None
+        tx, pending = world
+        return (lambda: expand(tx, pending)) if pending else None
 
-    def expand(deltas: frozenset[Atom], pending: tuple[Atom, ...]) -> Iterator[World]:
-        current, rest = pending[0], pending[1:]
-        sign, atom = split_delta(current)
+    def expand(tx: Transaction, pending: Pending) -> Iterator[World]:
+        (sign, atom), rest = pending[0], pending[1:]
         if sign == ADD:
             options = _options_for_add(defs[atom.pred], atom, norm_model, universe, fresh[atom.pred])
         else:
-            options = [
-                frozenset(delta_remove(d) for d in cand)
-                for cand in deletion_candidates(db, atom)
-            ]
+            options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom)]
         for option in options:
-            new_deltas = deltas | option
-            if any(Atom(ADD + a.pred[1:], a.args) in new_deltas for a in option if a.pred[0] == REMOVE):
-                continue
-            if any(Atom(REMOVE + a.pred[1:], a.args) in new_deltas for a in option if a.pred[0] == ADD):
-                continue
-            yield new_deltas, rest + tuple(
-                sorted(d for d in option - deltas if split_delta(d)[1].pred in defs)
-            )
+            child = tx.merge(option)
+            if child.consistent:
+                yield child, rest + views(option.additions - tx.additions, option.removals - tx.removals)
 
-    pending0 = tuple(sorted(d for d in seeds if split_delta(d)[1].pred in defs))
+    seed = Transaction(frozenset({goal}))
     finished = breadth_first(
-        [(seeds, pending0)], step, log, key=lambda w: (w[0], frozenset(w[1])), rounds=None
+        [(seed, views(seed.additions, seed.removals))], step, log,
+        key=lambda w: (w[0], frozenset(w[1])), rounds=None,
     )
-    return tuple(deltas for deltas, _ in finished)
+    return tuple(tx for tx, _ in finished)
 
 
 # --- candidate transactions -------------------------------------------------
@@ -329,21 +294,14 @@ def derivable(db: Database, atom: Atom) -> bool:
     return magic_query(db, atom)
 
 
-def _transaction_of(world: frozenset[Atom], base_preds: frozenset[str]) -> Transaction:
-    adds, dels = set(), set()
-    for d in world:
-        sign, atom = split_delta(d)
-        if atom.pred not in base_preds:
-            continue
-        (adds if sign == ADD else dels).add(atom)
-    return Transaction(frozenset(adds), frozenset(dels))
-
-
 def _world_transactions(db: Database, atom: Atom, log: SearchLog) -> tuple[Transaction, ...]:
-    """Base transactions of the delta worlds for one insertion, unverified."""
-    worlds = insertion_worlds(db, [atom], log=log)
-    txs = (_transaction_of(world, db.base_predicates) for world in worlds)
-    return unique(tx for tx in txs if tx.consistent)
+    """Base parts of the worlds for one insertion, unverified."""
+    base = db.base_predicates
+    return unique(
+        Transaction(frozenset(a for a in w.additions if a.pred in base),
+                    frozenset(a for a in w.removals if a.pred in base))
+        for w in insertion_worlds(db, atom, log)
+    )
 
 
 def disarm_steps(

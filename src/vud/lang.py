@@ -532,6 +532,13 @@ def stratify(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
     return tuple(strata)
 
 
+def check_arity(db: Database, atom: Atom) -> None:
+    """Raise ValueError unless atom has the arity db uses for its predicate."""
+    arity = db.arities.get(atom.pred, len(atom.args))
+    if arity != len(atom.args):
+        raise ValueError("%s takes %d arguments, got %s" % (atom.pred, arity, atom))
+
+
 def check_goal(db: Database, atom: Atom) -> None:
     """Raise ValueError unless atom is a goal an update of db may have: a
     ground atom that could be stored without validate rejecting the result,
@@ -540,9 +547,7 @@ def check_goal(db: Database, atom: Atom) -> None:
         raise ValueError("update goals must be ground, got %s" % atom)
     if atom.pred == EQ:
         raise ValueError("eq is built in and cannot be an update goal")
-    arity = db.arities.get(atom.pred, len(atom.args))
-    if arity != len(atom.args):
-        raise ValueError("%s takes %d arguments, got %s" % (atom.pred, arity, atom))
+    check_arity(db, atom)
 
 
 def validate(db: Database) -> tuple[Violation, ...]:

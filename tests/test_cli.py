@@ -38,6 +38,13 @@ def test_query_eq_is_decided_on_its_arguments(capsys):
     assert run(capsys, "query", BASIC, "eq(a)") == (1, "", "error: eq takes exactly two arguments\n")
 
 
+def test_query_wrong_arity_exits_1(capsys):
+    # the message an update with the same atom gives
+    wrong = (1, "", "error: p takes 0 arguments, got p(a)\n")
+    assert run(capsys, "query", BASIC, "p(a)") == wrong
+    assert run(capsys, "update", BASIC, "--delete", "p(a)") == wrong
+
+
 def test_model_lists_sorted_atoms(capsys):
     code, out, _ = run(capsys, "model", BASIC)
     assert code == 0
@@ -230,6 +237,13 @@ def test_repl_query_eq_agrees_with_its_proof_tree():
     assert s.execute("show tree eq(a,a).").splitlines() == ["eq(a,a)", "  [] (success)"]
     assert s.execute("query eq(a,b).") == "false"
     assert s.execute("show tree eq(a).") == "error: eq takes exactly two arguments"
+
+
+def test_repl_query_and_tree_reject_wrong_arity():
+    s = session()
+    assert s.execute("query p(a).") == "error: p takes 0 arguments, got p(a)"
+    assert s.execute("show tree p(a).") == "error: p takes 0 arguments, got p(a)"
+    assert s.execute("show tree a(b,c).") == "error: a takes 0 arguments, got a(b,c)"
 
 
 def test_repl_error_handling():

@@ -1,5 +1,9 @@
-"""Insertion: normalisation, delta worlds, candidate transactions, guarded
+"""Insertion: normalisation, the world search, candidate transactions, guarded
 evaluation."""
+
+import glob
+import hashlib
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +11,6 @@ from hypothesis import strategies as st
 from vud.insertion import (
     delta_add,
     delta_remove,
-    delta_seeds,
     derivable,
     guard_atom,
     insertion_candidates,
@@ -16,10 +19,10 @@ from vud.insertion import (
     magic_query,
     normalize_rules,
     propagation_rules,
-    split_delta,
     view_definitions,
 )
 from vud.lang import Atom, Database, Transaction, parse_program
+from vud.randgen import GeneratorConfig, chain_database, random_database
 from vud.semantics import check_ic, fixpoint_model, least_model
 
 import pytest
@@ -47,17 +50,8 @@ def staff() -> Database:
 
 def test_delta_round_trip():
     a = Atom("edge", ("x", "y"))
-    assert split_delta(delta_add(a)) == ("+", a)
-    assert split_delta(delta_remove(a)) == ("-", a)
-
-
-def test_delta_seeds():
-    seeds = delta_seeds([Atom("p")], [Atom("q"), Atom("r")])
-    assert seeds == {
-        Atom("+p"),
-        Atom("-q"),
-        Atom("-r"),
-    }
+    assert delta_add(a) == Atom("+edge", ("x", "y"))
+    assert delta_remove(a) == Atom("-edge", ("x", "y"))
 
 
 # --- normalisation ---------------------------------------------------------
@@ -172,17 +166,48 @@ def test_propagation_rules_alternatives_split(basic):
 
 def test_insertion_worlds_basic():
     db = Database.load("data/basic.dl").with_edb(atoms("e", "f"))
-    worlds = insertion_worlds(db, [Atom("p")])
+    worlds = insertion_worlds(db, Atom("p"))
     assert len(worlds) == 5
+    assert all(Atom("p") in w.additions and w.consistent for w in worlds)
+    base = ("a", "b")
     base_parts = sorted(
-        tuple(sorted(str(d) for d in w if split_delta(d)[1].pred in ("a", "b"))) for w in worlds
+        str(Transaction(frozenset(a for a in w.additions if a.pred in base),
+                        frozenset(a for a in w.removals if a.pred in base)))
+        for w in worlds
     )
-    assert base_parts == [("+a",), ("+a",), ("+a",), ("+b",), ("+b",)]
+    assert base_parts == ["+a", "+a", "+a", "+b", "+b"]
 
 
-def test_insertion_worlds_delete_seed(basic):
-    worlds = insertion_worlds(basic, deletes=[Atom("p")])
-    assert frozenset({Atom("-p"), Atom("-a")}) in worlds
+def _absent_view_atoms(db: Database, limit: int = 5) -> list[Atom]:
+    consts = sorted(db.universe())
+    candidates = sorted(
+        Atom(p, args)
+        for p in db.view_predicates
+        for args in itertools.product(consts, repeat=db.arities[p])
+    )
+    return [a for a in candidates if a not in least_model(db)][:limit]
+
+
+def test_insertion_worlds_digest():
+    """Every world, in order, for up to five absent view atoms of each
+    example, chain and random database, against the digest pinned when
+    worlds were still sets of +p/-p delta atoms."""
+    dbs = [Database.load(p) for p in sorted(glob.glob("data/*.dl"))]
+    dbs += [chain_database(n) for n in range(1, 7)]
+    for cfg in (GeneratorConfig(), GeneratorConfig(negation=True, constraints=True)):
+        dbs += [random_database(seed, cfg) for seed in range(40)]
+    digest = hashlib.sha256()
+    goals = worlds = 0
+    for db in dbs:
+        for goal in _absent_view_atoms(db):
+            goals += 1
+            digest.update(("goal %s\n" % goal).encode())
+            for w in insertion_worlds(db, goal):
+                worlds += 1
+                changes = ["+%s" % a for a in w.additions] + ["-%s" % a for a in w.removals]
+                digest.update((" ".join(sorted(changes)) + "\n").encode())
+    assert (goals, worlds) == (379, 215)
+    assert digest.hexdigest() == "096f64984384d69c38e9e6282ebda67873f395a664e9456379e1c01da77e7cbf"
 
 
 # --- candidate transactions --------------------------------------------------
