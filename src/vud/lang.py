@@ -18,7 +18,7 @@ import itertools
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 EQ = "eq"
@@ -150,9 +150,12 @@ class Transaction:
 
     def apply(self, db: "Database") -> "Database":
         """The changed database: db itself when the stored facts stay as they
-        are, so the model kept on db is reused."""
-        edb = (db.edb | self.additions) - self.removals
-        return db if edb == db.edb else db.with_edb(edb)
+        are, so the model kept on db is reused, else db.with_edb of the
+        changed facts, which shares db's rules and constraints."""
+        edb = db.edb
+        if self.removals.isdisjoint(edb) and self.additions - self.removals <= edb:
+            return db
+        return db.with_edb((edb | self.additions) - self.removals)
 
     def undo_each(self, db: "Database", changes: Iterable[Atom]) -> Iterator["Database"]:
         """For each of the given changes in sorted order, the database after
@@ -390,27 +393,50 @@ class Violation:
         return "%s: %s" % (self.kind, self.message)
 
 
-@dataclass(frozen=True)
 class Database:
     """An ordered clause list partitioned into view rules, facts and denials.
 
     Clause order is preserved because proof search and the update procedures
     scan clauses first to last, so two databases with the same clauses in a
-    different order are different objects.
+    different order are different objects.  Equality and hashing go by the
+    clause list.  A database is immutable.
+
+    with_edb derives a database from another: it shares the other's rules,
+    constraints and what depends on them alone, and holds no reference to
+    the other.  Its clause list is built only when something asks for it.
     """
 
-    rules: tuple[Rule, ...]
-    idb: tuple[Rule, ...] = field(init=False, compare=False, repr=False)
-    ic: tuple[Rule, ...] = field(init=False, compare=False, repr=False)
-    edb: frozenset[Atom] = field(init=False, compare=False, repr=False)
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        clauses = tuple(r for r in rules if not r.is_fact)
+        vars(self).update(
+            rules=rules,
+            _clauses=clauses,
+            idb=tuple(r for r in clauses if r.head is not None),
+            ic=tuple(r for r in clauses if r.head is None),
+            edb=frozenset(r.head for r in rules if r.is_fact and r.head is not None),
+        )
 
-    def __post_init__(self) -> None:
-        idb = tuple(r for r in self.rules if r.head is not None and r.body)
-        ic = tuple(r for r in self.rules if r.is_denial)
-        edb = frozenset(r.head for r in self.rules if r.is_fact and r.head is not None)
-        object.__setattr__(self, "idb", idb)
-        object.__setattr__(self, "ic", ic)
-        object.__setattr__(self, "edb", edb)
+    idb: tuple[Rule, ...]
+    ic: tuple[Rule, ...]
+    edb: frozenset[Atom]
+    _clauses: tuple[Rule, ...]  # the rules and constraints, in clause order
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a Database is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a Database is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Database):
+            return NotImplemented
+        return self is other or self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __repr__(self) -> str:
+        return "Database(rules=%r)" % (self.rules,)
 
     @classmethod
     def parse(cls, text: str) -> "Database":
@@ -422,8 +448,14 @@ class Database:
             return cls.parse(fh.read())
 
     # The derivations below are computed on first use and kept on the
-    # instance; they are not fields, so equality and hashing ignore them.
-    # semantics.least_model keeps the model on the instance the same way.
+    # instance; equality and hashing ignore them.  semantics.least_model
+    # keeps the model on the instance the same way.
+
+    @functools.cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The clause list.  A derived database builds it on first use: the
+        rules and constraints in their order, then the facts sorted."""
+        return self._clauses + tuple(Rule(a) for a in sorted(self.edb))
 
     @functools.cached_property
     def view_predicates(self) -> frozenset[str]:
@@ -432,7 +464,7 @@ class Database:
     @functools.cached_property
     def base_predicates(self) -> frozenset[str]:
         preds: set[str] = {a.pred for a in self.edb}
-        for r in self.rules:
+        for r in self._clauses:
             for lit in r.body:
                 preds.add(lit.atom.pred)
         return frozenset(preds - self.view_predicates - {EQ})
@@ -447,12 +479,19 @@ class Database:
         return arity
 
     def universe(self) -> frozenset[str]:
+        """The constants of the clauses: those of the rules and constraints
+        and those of the facts, so a changed fact set gets its own."""
         return self._universe
 
     @functools.cached_property
     def _universe(self) -> frozenset[str]:
+        terms = {t for a in self.edb for t in a.args}
+        return self._rule_constants.union(t for t in terms if not is_variable(t))
+
+    @functools.cached_property
+    def _rule_constants(self) -> frozenset[str]:
         terms: set[str] = set()
-        for r in self.rules:
+        for r in self._clauses:
             if r.head is not None:
                 terms.update(r.head.args)
             for lit in r.body:
@@ -460,10 +499,22 @@ class Database:
         return frozenset(t for t in terms if not is_variable(t))
 
     def with_edb(self, facts: Iterable[Atom]) -> "Database":
-        """Same rules and constraints over a replaced set of base facts."""
-        kept = tuple(r for r in self.rules if not r.is_fact)
-        new = tuple(Rule(a) for a in sorted(set(facts)))
-        return Database(kept + new)
+        """Same rules and constraints over a replaced set of base facts.
+
+        The result shares this database's rules, constraints, view
+        predicates and rule constants; its clause list, once asked for, is
+        the rules and constraints in their order, then the facts sorted.
+        """
+        derived = object.__new__(Database)
+        vars(derived).update(
+            _clauses=self._clauses,
+            idb=self.idb,
+            ic=self.ic,
+            edb=frozenset(facts),
+            view_predicates=self.view_predicates,
+            _rule_constants=self._rule_constants,
+        )
+        return derived
 
 
 def format_database(db: Database) -> str:

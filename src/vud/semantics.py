@@ -13,9 +13,12 @@ the few databases in use, keyed by the identities of their rules.
 
 A database's model is computed once, on first use, and kept on the
 Database instance; every layer that needs it calls least_model(db), a
-changed database least_model(tx.apply(db)).  Only kb_equivalent and
-derivable_without_facts (another universe), insertion_worlds and
-magic_query (other rules) call fixpoint_model themselves.
+changed database least_model(tx.apply(db)).  A changed database shares
+db's rule and constraint tuples (Database.with_edb), so their compiled
+programs are found again; its model is computed afresh over its own
+facts.  Only kb_equivalent and derivable_without_facts (another
+universe), insertion_worlds and magic_query (other rules) call
+fixpoint_model themselves.
 
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.

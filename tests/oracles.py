@@ -14,9 +14,12 @@ the tests check that both formulations agree.  antichain_pairwise is the
 quadratic subset-minimal filter that vud.lang.antichain replaced, and
 minimal_sets the loop vud.explain.minimal_members ran before it used
 antichain.  scanning_tableau is the deletion tableau over literal sets
-that the bitmask one replaced.  The *_loop functions are the four
-put-one-back loops that Transaction.undo_each replaced, each building its
-databases with Database.with_edb.
+that the bitmask one replaced.  rebuilt_database is the way
+Database.with_edb built a changed database before derived databases
+shared their parent's clauses: a whole new clause list, partitioned
+again.  The *_loop functions are the four put-one-back loops that
+Transaction.undo_each replaced; the three that build databases build them
+with rebuilt_database, so they do not share the production path.
 """
 
 from __future__ import annotations
@@ -459,6 +462,17 @@ def edb_cuts(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     return tuple(minimal_sets(picks))
 
 
+# --- changed databases --------------------------------------------------------
+
+
+def rebuilt_database(db: Database, facts: Iterable[Atom]) -> Database:
+    """db's rules and constraints in their order, then the facts sorted, as
+    one new clause list."""
+    kept = tuple(r for r in db.rules if not r.is_fact)
+    new = tuple(Rule(a) for a in sorted(set(facts)))
+    return Database(kept + new)
+
+
 # --- put-one-back loops -------------------------------------------------------
 
 
@@ -479,11 +493,11 @@ def necessary_loop(db: Database, atom: Atom, tx: Transaction) -> bool:
     """vud.insertion._necessary: undoing any one addition or removal loses
     the goal or breaks a constraint."""
     for x in sorted(tx.additions):
-        slim = db.with_edb((db.edb | (tx.additions - {x})) - tx.removals)
+        slim = rebuilt_database(db, (db.edb | (tx.additions - {x})) - tx.removals)
         if derivable(slim, atom) and not check_ic(slim):
             return False
     for x in sorted(tx.removals):
-        slim = db.with_edb((db.edb | tx.additions) - (tx.removals - {x}))
+        slim = rebuilt_database(db, (db.edb | tx.additions) - (tx.removals - {x}))
         if derivable(slim, atom) and not check_ic(slim):
             return False
     return True
@@ -493,10 +507,10 @@ def delete_strong_relevance_loop(db: Database, atom: Atom, tx: Transaction) -> b
     """The delete audit's strong relevance in vud.revision.rationality_report:
     the atom is gone (or nothing was removed), and putting back any one
     removal, additions ignored, restores it."""
-    after = least_model(db.with_edb((db.edb | tx.additions) - tx.removals))
+    after = least_model(rebuilt_database(db, (db.edb | tx.additions) - tx.removals))
     pivotal = True
     for r in sorted(tx.removals):
-        restored = db.with_edb(db.edb - (tx.removals - {r}))
+        restored = rebuilt_database(db, db.edb - (tx.removals - {r}))
         if atom not in least_model(restored):
             pivotal = False
             break
@@ -507,7 +521,7 @@ def insert_strong_relevance_loop(db: Database, atom: Atom, tx: Transaction) -> b
     """The insert audit's strong relevance: undoing any one addition, the
     removals kept, loses the atom."""
     for a in sorted(tx.additions):
-        slim = db.with_edb((db.edb | (tx.additions - {a})) - tx.removals)
+        slim = rebuilt_database(db, (db.edb | (tx.additions - {a})) - tx.removals)
         if atom in least_model(slim):
             return False
     return True
