@@ -206,18 +206,18 @@ def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]
     than needed are dropped.  An atom that is not derivable to begin with
     needs no deletion and yields the single empty candidate.
 
-    Without negation in any rule body, removing facts only removes proofs.
-    Every open branch is then a cut, the branches hold every minimal cut,
+    On a monotone database (Database.monotone) removing facts only removes
+    proofs: every open branch is a cut, the branches hold every minimal cut,
     and the put-one-back test holds for a cut exactly when no other branch
-    cut is a strict subset of it; so antichain keeps the subset-minimal
+    cut is a strict subset of it.  So antichain keeps the subset-minimal
     cuts, with no model computed.  A negated literal, even over a base
-    predicate, lets a removal create a proof, so such a database puts each
-    candidate through strongly_minimal instead.
+    predicate, lets a removal create a proof, so any other database puts
+    each candidate through strongly_minimal.
     """
     if atom not in least_model(db):
         return (frozenset(),)
     tableau = build_tableau(deletion_program(db), delete_request(atom))
     candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
-    if any(l.negated for r in db.idb for l in r.body):
+    if not db.monotone:
         return tuple(c for c in candidates if strongly_minimal(db, atom, c))
     return tuple(antichain(candidates))

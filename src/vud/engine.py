@@ -3,10 +3,11 @@
 A request names atoms to insert and atoms to delete.  Each goal first gets
 its own candidate family (the world search for insertions, the tableau for
 deletions; base atoms are changed directly), the families are combined, and
-every combination is verified against the whole request and the
-constraints.  A combination that fails is re-expanded against its own
-result state, so goals that interact (one goal's change breaking another)
-are still solved; constraint violations go through the repair search.
+every combination is verified against the whole request and the constraints,
+unless that is proved (deletions alone on a monotone, consistent database).
+A combination that fails is re-expanded against its own result state, so
+goals that interact (one goal's change breaking another) are still solved;
+constraint violations go through the repair search.
 
 All of these searches run on lang.breadth_first with its shared limits
 (MAX_STATES states per search, MAX_ROUNDS rounds, which max_rounds
@@ -144,11 +145,11 @@ def view_update(
     """Realise the request, smallest verified change first.
 
     Combinations of the goals' candidate families are searched breadth
-    first; one that misses a goal or breaks a constraint is merged with
-    the goal's family or the repairs computed on its own result, up to
-    max_rounds times.  Raises UnrealizableError when nothing survives
-    verification, with a trace of the failed attempts, and ValueError for
-    a goal that lang.check_goal rejects.
+    first; one that misses a goal or breaks a constraint (deletions on a
+    monotone, consistent database provably cannot) is merged with the goal's
+    family or the repairs of its own result, up to max_rounds times.  Raises
+    UnrealizableError when nothing survives, with a trace of the failed
+    attempts, and ValueError for a goal that lang.check_goal rejects.
     """
     if variant not in ("minimal", "materialized"):
         raise ValueError("variant must be 'minimal' or 'materialized', got %r" % variant)
@@ -194,6 +195,7 @@ def view_update(
 
     protect_present = frozenset(a for a in request.inserts if a.pred not in db.view_predicates)
     protect_absent = frozenset(a for a in request.deletes if a.pred not in db.view_predicates)
+    settled = db.monotone and not request.inserts and not check_ic(db)
 
     def extend(tx: Transaction, extras: Iterable[Transaction], failure: str) -> list[Transaction]:
         grown = [
@@ -227,7 +229,7 @@ def view_update(
             return lambda: extend(tx, repairs(tx, after), "violates '%s'" % violated[0])
         return None
 
-    verified = breadth_first(combinations(), step, log, rounds=max_rounds)
+    verified = breadth_first(combinations(), (lambda *_: None) if settled else step, log, rounds=max_rounds)
     if log.exhausted:
         note("the search budget ran out: %d states or %d rounds per search" % (MAX_STATES, max_rounds))
     if not verified and all(families) and next(combinations(), None) is None:

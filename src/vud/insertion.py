@@ -287,9 +287,9 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
 
 
 def derivable(db: Database, atom: Atom) -> bool:
-    """Goal-directed derivability: magic-guarded evaluation when the rules
-    are negation-free, full model computation otherwise."""
-    if any(l.negated for r in db.idb for l in r.body):
+    """Goal-directed derivability: magic-guarded evaluation on a monotone
+    database (Database.monotone), full model computation otherwise."""
+    if not db.monotone:
         return atom in least_model(db)
     return magic_query(db, atom)
 

@@ -393,6 +393,10 @@ class Violation:
         return "%s: %s" % (self.kind, self.message)
 
 
+class Universe(frozenset):
+    """A database's constants: those of every atom it stores or derives."""
+
+
 class Database:
     """An ordered clause list partitioned into view rules, facts and denials.
 
@@ -470,6 +474,11 @@ class Database:
         return frozenset(preds - self.view_predicates - {EQ})
 
     @functools.cached_property
+    def monotone(self) -> bool:
+        """No rule or denial body has a negated literal."""
+        return not any(l.negated for r in self._clauses for l in r.body)
+
+    @functools.cached_property
     def arities(self) -> Mapping[str, int]:
         """Each predicate's arity, as the clauses first use it."""
         arity: dict[str, int] = {}
@@ -486,7 +495,7 @@ class Database:
     @functools.cached_property
     def _universe(self) -> frozenset[str]:
         terms = {t for a in self.edb for t in a.args}
-        return self._rule_constants.union(t for t in terms if not is_variable(t))
+        return Universe(self._rule_constants.union(t for t in terms if not is_variable(t)))
 
     @functools.cached_property
     def _rule_constants(self) -> frozenset[str]:
@@ -512,6 +521,7 @@ class Database:
             ic=self.ic,
             edb=frozenset(facts),
             view_predicates=self.view_predicates,
+            monotone=self.monotone,
             _rule_constants=self._rule_constants,
         )
         return derived

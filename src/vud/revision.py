@@ -120,10 +120,11 @@ def _finalize(
     raw: tuple[Transaction, ...],
     want_derivable: bool,
 ) -> tuple[Transaction, ...]:
-    """The raw candidates that reach the goal without breaking a
-    constraint, plus one round of repairs for those that break one; the
-    repaired changes must still reach the goal."""
+    """The raw candidates that reach the goal without breaking a constraint
+    (proved of removals on a monotone, consistent database), plus one round
+    of repairs for those that break one, which must still reach the goal."""
     protect_goal = frozenset() if want_derivable else frozenset({atom})
+    settled = not want_derivable and db.monotone and not check_ic(db)
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
@@ -138,7 +139,7 @@ def _finalize(
         )
         return lambda: [m for m in map(tx.merge, outcome.transactions) if m.consistent]
 
-    found = breadth_first(raw, step, SearchLog())
+    found = breadth_first(raw, (lambda *_: None) if settled else step, SearchLog())
     return tuple(sorted(antichain(found), key=Transaction.rank_key))
 
 

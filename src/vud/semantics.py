@@ -48,6 +48,7 @@ from .lang import (
     Database,
     Literal,
     Rule,
+    Universe,
     ground_program,
     is_variable,
     stratify,
@@ -291,7 +292,8 @@ class _Joins:
         self._universe: list[str] | None = None
         if universe is not None:
             self._universe = sorted(set(universe))
-            self._outside = (self._stored_constants() | consts).difference(self._universe)
+            stored = set() if isinstance(universe, Universe) else self._stored_constants()
+            self._outside = (stored | consts).difference(self._universe)
 
     def _stored_constants(self) -> set[str]:
         return {c for rows in self.rows.values() for args in rows for c in args}
