@@ -25,12 +25,13 @@ closed_under_rules) and the model itself come out of the same evaluator.
 Instances are listed in the order grounding over the universe would list
 them, so a constraint check's first violation does not depend on how the
 model was computed.  Only the reduct (every ground instance, firing or not)
-and proof trees still ground over the universe.
+still grounds over the universe.
 
 Proof search is resolution over the ground program with leftmost literal
 selection; view atoms unfold through every matching rule in program order,
 base atoms resolve against the stored facts, and negative literals are
-settled against the model.
+settled against the model.  RuleInstances grounds only the rules whose head
+matches an atom the search selects, when the search first selects it.
 """
 
 from __future__ import annotations
@@ -504,6 +505,39 @@ def reduct(rules: Sequence[Rule], model: frozenset[Atom], universe: Iterable[str
 # --- resolution trees -----------------------------------------------------
 
 
+class RuleInstances(dict):
+    """Ground instances of rules over constants by head atom, listed on an
+    atom's first lookup in the order ground_program lists them: the rules
+    of its predicate in program order, each head unified with the atom and
+    the other variables ranged, sorted, over the sorted constants."""
+
+    def __init__(self, rules: Iterable[Rule], consts: Iterable[str]):
+        super().__init__()
+        self._consts = sorted(set(consts))
+        self._rules: dict[str, list[tuple[Rule, list[str]]]] = {}
+        for r in rules:
+            self._rules.setdefault(r.head.pred, []).append((r, sorted(r.variables())))  # type: ignore[union-attr]
+
+    def __missing__(self, atom: Atom) -> list[Rule]:
+        found = self[atom] = []
+        for rule, names in self._rules.get(atom.pred, ()):
+            head = rule.head.args  # type: ignore[union-attr]
+            if not names:
+                if head == atom.args:
+                    found.append(rule)
+                continue
+            theta: dict[str, str] = {}
+            if len(head) != len(atom.args) or not all(
+                theta.setdefault(t, c) == c if is_variable(t) else t == c for t, c in zip(head, atom.args)
+            ):
+                continue
+            rest = [v for v in names if v not in theta]
+            for combo in itertools.product(self._consts, repeat=len(rest)):
+                theta.update(zip(rest, combo))
+                found.append(rule.substitute(theta))
+        return found
+
+
 @dataclass(frozen=True)
 class ProofLeaf:
     """Terminal branch of a proof tree.
@@ -566,19 +600,18 @@ def build_proof_tree(
 ) -> ProofTree:
     """Resolution tree for a ground goal atom.
 
-    Negative subgoals are settled against the model, so the tree is only
-    meaningful for stratified databases.  With hypothesize=True an absent
-    base subgoal is assumed true and recorded instead of failing the branch,
-    which turns failed branches into descriptions of what is missing.
+    View subgoals unfold through RuleInstances, grounding only the rules
+    the tree selects.  Negative subgoals are settled against the model, so
+    the tree is only meaningful for stratified databases.  With
+    hypothesize=True an absent base subgoal is assumed true and recorded
+    instead of failing the branch, which turns failed branches into
+    descriptions of what is missing.
     """
     if not goal.is_ground:
         raise ValueError("proof trees require a ground goal, got %s" % goal)
     model = least_model(db)
     view = db.view_predicates
-    consts = db.universe() | set(goal.args)
-    rules_for: dict[Atom, list[Rule]] = {}
-    for r in ground_program(db.idb, consts):
-        rules_for.setdefault(r.head, []).append(r)  # type: ignore[arg-type]
+    rules_for = RuleInstances(db.idb, db.universe() | set(goal.args))
 
     # each pending literal carries the chain of view atoms it descends from,
     # so a repeated subgoal is a loop only on its own derivation path and a
@@ -606,7 +639,7 @@ def build_proof_tree(
                 deeper = chain | {a}
                 below = [
                     (tuple((b, deeper) for b in r.body) + rest, used, assumed)
-                    for r in rules_for.get(a, ())
+                    for r in rules_for[a]
                 ]
             elif a in db.edb:
                 below = [(rest, used | {a}, assumed)]

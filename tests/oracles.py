@@ -20,6 +20,9 @@ shared their parent's clauses: a whole new clause list, partitioned
 again.  The *_loop functions are the four put-one-back loops that
 Transaction.undo_each replaced; the three that build databases build them
 with rebuilt_database, so they do not share the production path.
+grounded_instances is the lookup proof trees used before
+vud.semantics.RuleInstances listed only the atoms a tree selects: the whole
+ground program, grouped by head.
 """
 
 from __future__ import annotations
@@ -460,6 +463,23 @@ def edb_cuts(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
         return ()
     picks = {frozenset(choice) for choice in itertools.product(*(sorted(s) for s in family))}
     return tuple(minimal_sets(picks))
+
+
+# --- proof trees --------------------------------------------------------------
+
+
+class _ByHead(dict):
+    def __missing__(self, atom: Atom) -> tuple[Rule, ...]:
+        return ()
+
+
+def grounded_instances(rules: Iterable[Rule], consts: Iterable[str]) -> dict[Atom, list[Rule]]:
+    """ground_program over the constants, grouped by head in the order it
+    lists them; an atom no instance has gives ()."""
+    out = _ByHead()
+    for r in ground_program(rules, consts):
+        out.setdefault(r.head, []).append(r)
+    return out
 
 
 # --- changed databases --------------------------------------------------------
