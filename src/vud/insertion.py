@@ -20,6 +20,13 @@ checked against the constraints, and minimised.  Both the world search and
 the verify-and-re-expand search over candidate transactions run on
 lang.breadth_first and share its limits.  propagation_rules displays the
 same cases as a delta program over +p/-p atoms.
+
+The normalised rules depend on the rules alone, so their helper rules and
+definitions are built once per rule set and kept with its compiled program
+(semantics.kept_form), where a changed database finds them again.  The
+world search reads the database's kept model plus the helper atoms, which
+the helper rules alone derive over that model.
+
 Derivability checks run on a goal-guarded rewriting of the rules so only
 atoms relevant to the goal are derived.
 """
@@ -28,14 +35,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .deletion import Clause, deletion_candidates
 from .lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
     is_variable, unique,
 )
-from .semantics import check_ic, eq_holds, fixpoint_model, least_model
+from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model
 
 ADD = "+"
 REMOVE = "-"
@@ -52,7 +59,12 @@ def delta_remove(atom: Atom) -> Atom:
 # --- normalisation --------------------------------------------------------
 
 
-def _binarize(rule: Rule, counter: Iterator[int]) -> list[Rule]:
+def _unused(pattern: str, taken: Collection[str]) -> Iterator[str]:
+    """pattern % 1, pattern % 2, ..., skipping the taken names."""
+    return (name for name in (pattern % k for k in itertools.count(1)) if name not in taken)
+
+
+def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
     body = rule.body
     if len(body) <= 2:
         return [rule]
@@ -60,27 +72,31 @@ def _binarize(rule: Rule, counter: Iterator[int]) -> list[Rule]:
     rest_vars = frozenset().union(*(l.atom.variables() for l in rest))
     head_vars = rule.head.variables() if rule.head is not None else frozenset()
     carried = sorted(rest_vars & (head_vars | first.atom.variables()))
-    helper = Atom("_v%d" % next(counter), tuple(carried))
-    return [Rule(rule.head, (first, Literal(helper)))] + _binarize(Rule(helper, rest), counter)
+    helper = Atom(next(names), tuple(carried))
+    return [Rule(rule.head, (first, Literal(helper)))] + _binarize(Rule(helper, rest), names)
 
 
 def normalize_rules(rules: Sequence[Rule]) -> tuple[Rule, ...]:
     """Propagation form: canonical heads for alternative-defined predicates,
-    single-atom alternatives, at most two subgoals per rule."""
+    single-atom alternatives, at most two subgoals per rule.  Helper
+    predicates are named _v1, _v2, ..., skipping every predicate the rules
+    mention."""
     order: list[str] = []
     groups: dict[str, list[Rule]] = {}
+    taken: set[str] = set()
     for r in rules:
+        taken.update(a.pred for a in ([] if r.head is None else [r.head]) + [l.atom for l in r.body])
         if r.head is None or not r.body:
             continue
         if r.head.pred not in groups:
             order.append(r.head.pred)
         groups.setdefault(r.head.pred, []).append(r)
-    counter = itertools.count(1)
+    names = _unused("_v%d", taken)
     out: list[Rule] = []
     for pred in order:
         rs = groups[pred]
         if len(rs) == 1:
-            out.extend(_binarize(rs[0], counter))
+            out.extend(_binarize(rs[0], names))
             continue
         arity = len(rs[0].head.args)
         canon = tuple("X%d" % i for i in range(1, arity + 1))
@@ -108,9 +124,9 @@ def normalize_rules(rules: Sequence[Rule]) -> tuple[Rule, ...]:
             if len(body) == 1 and not body[0].negated and body[0].atom.pred != EQ:
                 out.append(Rule(canon_head, body))
             else:
-                helper = Atom("_v%d" % next(counter), canon)
+                helper = Atom(next(names), canon)
                 out.append(Rule(canon_head, (Literal(helper),)))
-                out.extend(_binarize(Rule(helper, body), counter))
+                out.extend(_binarize(Rule(helper, body), names))
     return tuple(out)
 
 
@@ -134,6 +150,27 @@ def view_definitions(rules: Sequence[Rule]) -> dict[str, ViewDefinition]:
         else:
             defs[r.head.pred] = ViewDefinition(seen.head, seen.alternatives + (r.body,))
     return defs
+
+
+def _propagation_form(idb: tuple[Rule, ...]) -> tuple[tuple[Rule, ...], dict[str, ViewDefinition]]:
+    """The helper rules of the normalised rules (those whose head predicate
+    no rule of idb defines) and the definitions of every predicate, views
+    and helpers alike.  Kept per rule set by semantics.kept_form, so it
+    holds no rule of idb: helper rules are new, definitions hold literals."""
+    normalized = normalize_rules(idb)
+    views = {r.head.pred for r in idb if r.head is not None}
+    helpers = tuple(r for r in normalized if r.head is not None and r.head.pred not in views)
+    return helpers, view_definitions(normalized)
+
+
+def search_model(db: Database) -> frozenset[Atom]:
+    """The model the world search reads: least_model(db) plus the helper
+    atoms, derived by the helper rules alone over it.  Helper rules negate
+    only predicates of db and never reach themselves, so this is the model
+    of the normalised rules over db's facts."""
+    helpers = kept_form(db.idb, _propagation_form)[0]
+    model = least_model(db)
+    return fixpoint_model(helpers, model, db.universe()) if helpers else model
 
 
 def _match(pattern: Atom, ground: Atom) -> dict[str, str] | None:
@@ -161,7 +198,7 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
     jointly over the constants plus a fresh witness.
     """
     out: list[Clause] = []
-    for pred, defn in view_definitions(normalize_rules(db.idb)).items():
+    for pred, defn in kept_form(db.idb, _propagation_form)[1].items():
         trigger = Literal(delta_add(defn.head))
         if len(defn.alternatives) > 1:
             head = tuple(Literal(delta_add(b[0].atom)) for b in defn.alternatives)
@@ -189,10 +226,6 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
 
 
 # --- world search ----------------------------------------------------------
-
-
-def _fresh_names(taken: frozenset[str]) -> Iterator[str]:
-    return (name for name in ("new_%d" % k for k in itertools.count(1)) if name not in taken)
 
 
 def _options_for_add(
@@ -240,16 +273,20 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     change expanded away; its base part is a candidate transaction.  A
     world search has no round limit, only the state limit: a stop there is
     marked on the log and the worlds finished so far are returned.
+
+    The definitions are the propagation form kept per rule set by
+    semantics.kept_form, not on the Database: a copy on every database a
+    workload keeps alive costs more memory than rebuilding it saves.  The
+    model is search_model(db), the kept model plus the helper atoms.
     """
     if log is None:
         log = SearchLog()
-    normalized = normalize_rules(db.idb)
-    defs = view_definitions(normalized)
-    norm_model = fixpoint_model(normalized, db.edb, db.universe())
+    defs = kept_form(db.idb, _propagation_form)[1]
+    model = search_model(db)
     universe = tuple(sorted(db.universe()))
     # witnesses avoid the goal's constants too, or a goal constant could
     # pass for a fresh one
-    names = _fresh_names(db.universe() | set(goal.args))
+    names = _unused("new_%d", db.universe() | set(goal.args))
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
 
     Pending = tuple[tuple[str, Atom], ...]  # view changes still to expand
@@ -267,7 +304,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     def expand(tx: Transaction, pending: Pending) -> Iterator[World]:
         (sign, atom), rest = pending[0], pending[1:]
         if sign == ADD:
-            options = _options_for_add(defs[atom.pred], atom, norm_model, universe, fresh[atom.pred])
+            options = _options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
         else:
             options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom)]
         for option in options:

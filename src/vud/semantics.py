@@ -17,8 +17,11 @@ changed database least_model(tx.apply(db)).  A changed database shares
 db's rule and constraint tuples (Database.with_edb), so their compiled
 programs are found again; its model is computed afresh over its own
 facts.  Only kb_equivalent and derivable_without_facts (another
-universe), insertion_worlds and magic_query (other rules) call
-fixpoint_model themselves.
+universe), magic_query (other rules) and the insertion world search (its
+helper rules, over the kept model) call fixpoint_model themselves.  What
+other layers derive from a rule set alone (the propagation form of
+insertion, the rules by head predicate) is kept beside the rules' compiled
+program by kept_form.
 
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
@@ -41,7 +44,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lang import (
     EQ,
@@ -175,11 +178,12 @@ class _Program:
 
     Up front it records each rule's positive ordinary subgoals (body
     position, predicate and arity); plans, the rules' constants and the
-    strata are built on first use.  It holds no reference to the rules,
-    which callers pass in again.
+    strata are built on first use, and so are the forms other layers derive
+    from the rules alone (kept_form).  It holds no reference to the rules,
+    which callers pass in again, so it goes when they do.
     """
 
-    __slots__ = ("uses", "refs", "_plans", "_delta", "_consts", "_strata")
+    __slots__ = ("uses", "refs", "forms", "_plans", "_delta", "_consts", "_strata")
 
     def __init__(self, rules: tuple[Rule, ...]):
         self.uses = tuple([
@@ -187,6 +191,7 @@ class _Program:
             for r in rules
         ])
         self.refs: list[weakref.ref[Rule]] = []
+        self.forms: dict[Callable, object] = {}
         self._plans: list[_Plan | None] = [None] * len(rules)
         self._delta: dict[tuple[int, int], _Plan] = {}
         self._consts: frozenset[str] | None = None
@@ -263,6 +268,26 @@ def _compiled(rules: tuple[Rule, ...]) -> _Program:
     if len(_COMPILED) > _COMPILED_MAX:
         _COMPILED.popitem(last=False)
     return program
+
+
+_F = TypeVar("_F")
+
+
+def kept_form(rules: tuple[Rule, ...], build: Callable[[tuple[Rule, ...]], _F]) -> _F:
+    """build(rules), made once per rule set and kept with the rules'
+    compiled program.  Databases derived by Transaction.apply share their
+    parent's rules, so they find it again; it goes when the rules do, or
+    when their program leaves the cache.  What build returns must hold no
+    reference to the rules, or they could never go.
+
+    Forms are kept here and not on each Database: the few rule sets in use
+    hold them, not every database a workload keeps alive.
+    """
+    forms = _compiled(rules).forms
+    form = forms.get(build)
+    if form is None:
+        form = forms[build] = build(rules)
+    return form  # type: ignore[return-value]
 
 
 class _Joins:
@@ -505,22 +530,32 @@ def reduct(rules: Sequence[Rule], model: frozenset[Atom], universe: Iterable[str
 # --- resolution trees -----------------------------------------------------
 
 
+def _by_head(rules: tuple[Rule, ...]) -> dict[str, list[tuple[int, list[str]]]]:
+    """Per head predicate, its rules' positions in program order, each
+    with the rule's sorted variables."""
+    index: dict[str, list[tuple[int, list[str]]]] = {}
+    for n, r in enumerate(rules):
+        index.setdefault(r.head.pred, []).append((n, sorted(r.variables())))  # type: ignore[union-attr]
+    return index
+
+
 class RuleInstances(dict):
     """Ground instances of rules over constants by head atom, listed on an
     atom's first lookup in the order ground_program lists them: the rules
     of its predicate in program order, each head unified with the atom and
-    the other variables ranged, sorted, over the sorted constants."""
+    the other variables ranged, sorted, over the sorted constants.  The
+    rules by head predicate are indexed once per rule set (kept_form)."""
 
-    def __init__(self, rules: Iterable[Rule], consts: Iterable[str]):
+    def __init__(self, rules: tuple[Rule, ...], consts: Iterable[str]):
         super().__init__()
         self._consts = sorted(set(consts))
-        self._rules: dict[str, list[tuple[Rule, list[str]]]] = {}
-        for r in rules:
-            self._rules.setdefault(r.head.pred, []).append((r, sorted(r.variables())))  # type: ignore[union-attr]
+        self._rules = rules
+        self._by_head = kept_form(rules, _by_head)
 
     def __missing__(self, atom: Atom) -> list[Rule]:
         found = self[atom] = []
-        for rule, names in self._rules.get(atom.pred, ()):
+        for n, names in self._by_head.get(atom.pred, ()):
+            rule = self._rules[n]
             head = rule.head.args  # type: ignore[union-attr]
             if not names:
                 if head == atom.args:

@@ -22,7 +22,9 @@ Transaction.undo_each replaced; the three that build databases build them
 with rebuilt_database, so they do not share the production path.
 grounded_instances is the lookup proof trees used before
 vud.semantics.RuleInstances listed only the atoms a tree selects: the whole
-ground program, grouped by head.
+ground program, grouped by head.  normalized_model is the model the
+insertion world search computed before it read the database's kept model:
+the whole normalised program evaluated from the stored facts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Collection, Iterable, Sequence
 
 from vud.deletion import Branch, Clause, Tableau, transform_rules
 from vud.explain import local_explanations
-from vud.insertion import derivable
+from vud.insertion import derivable, normalize_rules
 from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, ground_program, is_variable, stratify
 from vud.semantics import check_ic, fixpoint_model, least_model, reduct
 
@@ -583,3 +585,9 @@ def scanning_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
                 children.append(order + (disjunct,))
         stack.extend(reversed(children))
     return Tableau(tuple(branches), peak, expansions)
+
+
+def normalized_model(db: Database) -> frozenset[Atom]:
+    """Model of the normalised rules over the stored facts, helper atoms
+    included, evaluated from scratch."""
+    return fixpoint_model(normalize_rules(db.idb), db.edb, db.universe())

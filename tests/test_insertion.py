@@ -1,13 +1,17 @@
 """Insertion: normalisation, the world search, candidate transactions, guarded
 evaluation."""
 
+import gc
 import glob
 import hashlib
 import itertools
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vud import insertion
+from vud.engine import UpdateRequest, view_update
 from vud.insertion import (
     delta_add,
     delta_remove,
@@ -19,15 +23,16 @@ from vud.insertion import (
     magic_query,
     normalize_rules,
     propagation_rules,
+    search_model,
     view_definitions,
 )
 from vud.lang import Atom, Database, Transaction, parse_program
 from vud.randgen import GeneratorConfig, chain_database, random_database
-from vud.semantics import check_ic, fixpoint_model, least_model
+from vud.semantics import check_ic, fixpoint_model, kept_form, least_model
 
 import pytest
 
-from oracles import brute_transactions
+from oracles import brute_transactions, normalized_model
 from strategies import dbs_with_underivable_goal, positive_dbs, view_goals
 
 
@@ -126,6 +131,24 @@ def test_normalize_repeated_head_variables_become_equalities():
     ]
 
 
+# A program that defines a predicate named like normalize_rules' first helper.
+HELPER_NAMED_TEXT = "p(X) :- a(X), b(X), c(X).\n_v1(X) :- d(X).\na(k).\nb(k).\nd(k).\n"
+
+
+def test_helper_names_skip_the_program_predicates():
+    named = Database.parse(HELPER_NAMED_TEXT)
+    renamed = Database.parse(HELPER_NAMED_TEXT.replace("_v1", "w"))
+    assert [str(r) for r in normalize_rules(named.idb)] == [
+        "p(X) :- a(X), _v2(X)",
+        "_v2(X) :- b(X), c(X)",
+        "_v1(X) :- d(X)",
+    ]
+    goal = Atom("p", ("k",))
+    want = (Transaction(frozenset({Atom("c", ("k",))}), frozenset()),)
+    assert insertion_candidates(renamed, goal) == want
+    assert insertion_candidates(named, goal) == want
+
+
 def test_insertion_through_constant_head():
     db = Database.parse("p(a) :- q.\np(X) :- r(X).\n")
     at_a = insertion_candidates(db, Atom("p", ("a",)))
@@ -208,6 +231,70 @@ def test_insertion_worlds_digest():
                 digest.update((" ".join(sorted(changes)) + "\n").encode())
     assert (goals, worlds) == (379, 215)
     assert digest.hexdigest() == "096f64984384d69c38e9e6282ebda67873f395a664e9456379e1c01da77e7cbf"
+
+
+SEARCH_MODEL_CORPORA = {
+    "default": GeneratorConfig(),
+    "acyclic": GeneratorConfig(acyclic=True),
+    "negation+denials": GeneratorConfig(negation=True, constraints=True),
+    "extra-body-vars-1": GeneratorConfig(extra_body_vars=1),
+    # the bench corpus workload's configuration
+    "bench-corpus": GeneratorConfig(
+        view_count=4, base_count=4, constant_count=4, extra_body_vars=0,
+        negation=True, constraints=True, acyclic=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SEARCH_MODEL_CORPORA) + ["examples"])
+def test_search_model_is_the_normalized_model(corpus):
+    """The world search's model, the kept model plus the helper atoms the
+    helper rules derive over it, against the whole normalised program
+    evaluated from the stored facts."""
+    if corpus == "examples":
+        dbs = [Database.load(p) for p in sorted(glob.glob("data/*.dl"))]
+        dbs += [chain_database(n) for n in range(1, 9)] + [Database.parse(HELPER_NAMED_TEXT)]
+    else:
+        dbs = [random_database(seed, SEARCH_MODEL_CORPORA[corpus]) for seed in range(40)]
+    with_helpers = 0
+    for db in dbs:
+        model = search_model(db)
+        assert model == normalized_model(db)
+        with_helpers += model != least_model(db)
+    assert with_helpers
+
+
+def test_propagation_form_is_built_once_per_rule_set(monkeypatch):
+    """Both insert variants and their reruns, on derived databases, share
+    one normalisation of the rules."""
+    normalized, searched = [], []
+    normalize, worlds = insertion.normalize_rules, insertion.insertion_worlds
+    monkeypatch.setattr(insertion, "normalize_rules", lambda rules: normalized.append(rules) or normalize(rules))
+    monkeypatch.setattr(insertion, "insertion_worlds", lambda db, *a: searched.append(db) or worlds(db, *a))
+    # +a and +b make r true, so the first candidate is rerun against the
+    # database it produced
+    db = Database.parse("p :- a, b, not r.\nr :- a, c.\nc.\n")
+    for variant in ("minimal", "materialized"):
+        result = view_update(db, UpdateRequest(inserts=(Atom("p"),)), variant=variant)
+        assert result.chosen == Transaction(atoms("a", "b"), atoms("c"))
+    assert any(d is not db for d in searched)
+    assert len(normalized) == 1
+
+
+@pytest.mark.parametrize("path,goal", [
+    # helper rules, and a rule normalisation keeps as it is
+    (None, Atom("p", ("k",))),
+    # no helpers: every rule is kept as it is
+    ("data/staff.dl", Atom("staff_chair", ("aravindan", "gerhard"))),
+])
+def test_kept_propagation_form_goes_with_its_database(path, goal):
+    db = Database.parse(HELPER_NAMED_TEXT) if path is None else Database.load(path)
+    assert insertion_candidates(db, goal)
+    helpers = kept_form(db.idb, insertion._propagation_form)[0]
+    refs = [weakref.ref(r) for r in db.idb + helpers]
+    del db, helpers
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 # --- candidate transactions --------------------------------------------------
