@@ -20,7 +20,6 @@ from typing import IO
 
 from .lang import (
     EQ,
-    MAX_ROUNDS,
     Atom,
     Database,
     Literal,
@@ -128,7 +127,7 @@ def cmd_update(db: Database, args: argparse.Namespace, out: IO[str]) -> int:
         inserts=tuple(parse_atom(a) for a in args.insert),
         deletes=tuple(parse_atom(a) for a in args.delete),
     )
-    result = view_update(db, request, variant=args.variant, max_rounds=args.max_iter)
+    result = view_update(db, request, variant=args.variant)
     if args.format == "tsv":
         rows = _tsv_rows(result.alternatives if args.all else (result.chosen,))
         for row in rows:
@@ -154,7 +153,6 @@ class Session:
 
     initial: Database
     variant: str = "minimal"
-    max_iter: int = MAX_ROUNDS
     db: Database = field(init=False)
     history: list[Transaction] = field(default_factory=list)
     pending: tuple[Transaction, ...] = ()
@@ -193,9 +191,7 @@ class Session:
                 if word == "insert"
                 else UpdateRequest(deletes=(atom,))
             )
-            result = view_update(
-                self.db, request, variant=self.variant, max_rounds=self.max_iter
-            )
+            result = view_update(self.db, request, variant=self.variant)
             self.pending = result.alternatives
             lines = _alternative_lines(self.pending)
             lines.append("choose <n> to apply")
@@ -263,7 +259,7 @@ class Session:
 def cmd_repl(
     db: Database, args: argparse.Namespace, out: IO[str], inp: IO[str]
 ) -> int:
-    session = Session(db, variant=args.variant, max_iter=args.max_iter)
+    session = Session(db, variant=args.variant)
     while True:
         out.write("vud> ")
         out.flush()
@@ -306,12 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--delete", action="append", default=[], metavar="ATOM")
     u.add_argument("--variant", choices=("minimal", "materialized"), default="minimal")
     u.add_argument("--all", action="store_true", help="list every alternative instead of applying the first")
-    u.add_argument("--max-iter", type=int, default=MAX_ROUNDS, dest="max_iter", metavar="N")
     u.add_argument("--format", choices=("text", "tsv"), default="text")
 
     r = with_file("repl", "interactive session")
     r.add_argument("--variant", choices=("minimal", "materialized"), default="minimal")
-    r.add_argument("--max-iter", type=int, default=MAX_ROUNDS, dest="max_iter", metavar="N")
     return parser
 
 

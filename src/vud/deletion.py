@@ -102,9 +102,14 @@ def delete_request(atom: Atom) -> Clause:
 
 @dataclass(frozen=True)
 class Branch:
-    literals: frozenset[Literal]
+    """A finished branch: its literals in the order they were added."""
+
     order: tuple[Literal, ...]
     closed: bool
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        return frozenset(self.order)
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,7 @@ def build_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
     body mask, a head mask and its head literals with their own and their
     complement's bit.  The selection rule is unchanged: clauses are tried
     in program order, so the branches, their order, peak_live and
-    expansions are those of a scan over literal sets.  Only a finished
-    branch builds its frozenset.
+    expansions are those of a scan over literal sets.
     """
     program = (request,) + tuple(clauses)
     index: dict[Atom, int] = {}  # atom k: bit 2k positive, bit 2k+1 negated
@@ -167,17 +171,16 @@ def build_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
             if not body & absent and not head & held:
                 break
         else:
-            branches.append(Branch(frozenset(order), order, closed=False))
+            branches.append(Branch(order, closed=False))
             continue
         expansions += 1
         if not disjuncts:
-            branches.append(Branch(frozenset(order), order, closed=True))
+            branches.append(Branch(order, closed=True))
             continue
         children: list[tuple[tuple[Literal, ...], int]] = []
         for disjunct, own, complement in disjuncts:
             if complement & held:
-                grown = order + (disjunct,)
-                branches.append(Branch(frozenset(grown), grown, closed=True))
+                branches.append(Branch(order + (disjunct,), closed=True))
             else:
                 children.append((order + (disjunct,), held | own))
         stack.extend(reversed(children))
@@ -186,7 +189,7 @@ def build_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
 
 def branch_deletions(branch: Branch, edb: frozenset[Atom]) -> frozenset[Atom]:
     """The stored facts a branch wants gone."""
-    return frozenset(l.atom for l in branch.literals if l.negated and l.atom in edb)
+    return frozenset(l.atom for l in branch.order if l.negated and l.atom in edb)
 
 
 def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:

@@ -9,12 +9,12 @@ A combination that fails is re-expanded against its own result state, so
 goals that interact (one goal's change breaking another) are still solved;
 constraint violations go through the repair search.
 
-All of these searches run on lang.breadth_first with its shared limits
-(MAX_STATES states per search, MAX_ROUNDS rounds, which max_rounds
-overrides for this search only).  A search that reaches a limit returns
-what it has and marks the request's SearchLog, which ends up as the
-exhausted flag on the result or the error.  If nothing survives, the
-request is unrealizable and the error carries a trace of what was tried.
+All of these searches run on lang.breadth_first and draw on the request's
+one SearchLog: MAX_STATES states for the whole request, and MAX_ROUNDS
+rounds per search.  A search that reaches a limit returns what it has and
+marks the log, which ends up as the exhausted flag on the result or the
+error.  If nothing survives, the request is unrealizable and the error
+carries a trace of what was tried.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
@@ -42,7 +42,7 @@ from .lang import (
     breadth_first, check_goal, unique,
 )
 from .revision import rationality_report, repair_constraints
-from .semantics import check_ic, least_model
+from .semantics import check_ic, least_model, removals_settled
 
 
 # longest trace an UnrealizableError carries
@@ -140,16 +140,17 @@ def view_update(
     db: Database,
     request: UpdateRequest,
     variant: str = "minimal",
-    max_rounds: int = MAX_ROUNDS,
 ) -> UpdateResult:
     """Realise the request, smallest verified change first.
 
     Combinations of the goals' candidate families are searched breadth
-    first; one that misses a goal or breaks a constraint (deletions on a
-    monotone, consistent database provably cannot) is merged with the goal's
-    family or the repairs of its own result, up to max_rounds times.  Raises
-    UnrealizableError when nothing survives, with a trace of the failed
-    attempts, and ValueError for a goal that lang.check_goal rejects.
+    first; one that misses a goal or breaks a constraint (deletions alone
+    cannot where semantics.removals_settled holds) is merged with the goal's
+    family or the repairs of its own result, for up to MAX_ROUNDS rounds.
+    Every search the request starts shares one SearchLog, so MAX_STATES
+    bounds the request as a whole.  Raises UnrealizableError when nothing
+    survives, with a trace of the failed attempts, and ValueError for a goal
+    that lang.check_goal rejects.
     """
     if variant not in ("minimal", "materialized"):
         raise ValueError("variant must be 'minimal' or 'materialized', got %r" % variant)
@@ -195,24 +196,16 @@ def view_update(
 
     protect_present = frozenset(a for a in request.inserts if a.pred not in db.view_predicates)
     protect_absent = frozenset(a for a in request.deletes if a.pred not in db.view_predicates)
-    settled = db.monotone and not request.inserts and not check_ic(db)
+    settled = not request.inserts and removals_settled(db)
 
     def extend(tx: Transaction, extras: Iterable[Transaction], failure: str) -> list[Transaction]:
-        grown = [
-            m for m in map(tx.merge, extras)
-            if m.consistent and not (m.additions & protect_absent or m.removals & protect_present)
-        ]
+        grown = tx.grow(extras, protect_present, protect_absent)
         if not grown:
             note("%s: %s" % (tx, failure))
         return grown
 
     def repairs(tx: Transaction, after: Database) -> tuple[Transaction, ...]:
-        outcome = repair_constraints(
-            after,
-            protect_present=tx.additions | protect_present,
-            protect_absent=tx.removals | protect_absent,
-            log=log,
-        )
+        outcome = repair_constraints(after, tx.additions | protect_present, tx.removals | protect_absent, log)
         if outcome.exhausted:
             note("%s: constraint repair exhausted" % tx)
         return outcome.transactions
@@ -229,12 +222,13 @@ def view_update(
             return lambda: extend(tx, repairs(tx, after), "violates '%s'" % violated[0])
         return None
 
-    verified = breadth_first(combinations(), (lambda *_: None) if settled else step, log, rounds=max_rounds)
-    if log.exhausted:
-        note("the search budget ran out: %d states or %d rounds per search" % (MAX_STATES, max_rounds))
-    if not verified and all(families) and next(combinations(), None) is None:
-        note("all combined candidates were self-contradictory")
+    verified = breadth_first(combinations(), (lambda *_: None) if settled else step, log)
     if not verified:
+        if log.exhausted:
+            note("the search budget ran out: %d states per request or %d rounds per search"
+                 % (MAX_STATES, MAX_ROUNDS))
+        if all(families) and next(combinations(), None) is None:
+            note("all combined candidates were self-contradictory")
         message = "cannot realise %s" % request
         if log.exhausted:
             message += " within the search budget"

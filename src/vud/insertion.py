@@ -18,8 +18,8 @@ over view and base atoms, each kept only while consistent.  A finished
 world's base part is a candidate transaction, which is then verified,
 checked against the constraints, and minimised.  Both the world search and
 the verify-and-re-expand search over candidate transactions run on
-lang.breadth_first and share its limits.  propagation_rules displays the
-same cases as a delta program over +p/-p atoms.
+lang.breadth_first and draw on the request's SearchLog.  propagation_rules
+displays the same cases as a delta program over +p/-p atoms.
 
 The normalised rules depend on the rules alone, so their helper rules and
 definitions are built once per rule set and kept with its compiled program
@@ -271,8 +271,8 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
 
     A world is a consistent change to view and base atoms with every view
     change expanded away; its base part is a candidate transaction.  A
-    world search has no round limit, only the state limit: a stop there is
-    marked on the log and the worlds finished so far are returned.
+    world search has no round limit, only the request's state budget: a stop
+    there is marked on the log and the worlds finished so far are returned.
 
     The definitions are the propagation form kept per rule set by
     semantics.kept_form, not on the Database: a copy on every database a
@@ -391,16 +391,13 @@ def insertion_candidates(
     if log is None:
         log = SearchLog()
 
-    def grow(tx: Transaction, extras: Iterable[Transaction]) -> list[Transaction]:
-        return [m for m in map(tx.merge, extras) if m.consistent]
-
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
         if atom not in least_model(after):
-            return lambda: grow(tx, _world_transactions(after, atom, log))
+            return lambda: tx.grow(_world_transactions(after, atom, log))
         violated = check_ic(after)
         if violated:
-            return lambda: grow(tx, disarm_steps(after, violated[0], lambda a: _world_transactions(after, a, log)))
+            return lambda: tx.grow(disarm_steps(after, violated[0], lambda a: _world_transactions(after, a, log)))
         return None
 
     txs = breadth_first(_world_transactions(db, atom, log), step, log)

@@ -92,10 +92,6 @@ class Rule:
     def is_fact(self) -> bool:
         return self.head is not None and not self.body
 
-    @property
-    def is_denial(self) -> bool:
-        return self.head is None
-
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
         if self.head is not None:
@@ -143,6 +139,14 @@ class Transaction:
 
     def merge(self, other: "Transaction") -> "Transaction":
         return Transaction(self.additions | other.additions, self.removals | other.removals)
+
+    def grow(self, extras: Iterable["Transaction"], protect_present: frozenset[Atom] = frozenset(),
+             protect_absent: frozenset[Atom] = frozenset()) -> list["Transaction"]:
+        """A candidate's children in every update search: its consistent
+        merges with extras that remove no protect_present atom and add no
+        protect_absent one."""
+        return [m for m in map(self.merge, extras) if m.consistent
+                and m.removals.isdisjoint(protect_present) and m.additions.isdisjoint(protect_absent)]
 
     @property
     def consistent(self) -> bool:
@@ -192,17 +196,21 @@ def unique(items: Iterable[T]) -> tuple[T, ...]:
 
 # --- breadth-first search -----------------------------------------------------
 
-# Limits shared by every update search: states visited per search, and
-# rounds of expansion (the depth below which a state may be expanded).
+# Limits of the update searches: states visited per request, over all its
+# searches, and rounds of expansion (the depth below which a state may be
+# expanded) per search.
 MAX_STATES = 20000
 MAX_ROUNDS = 8
 
 
 @dataclass
 class SearchLog:
-    """Counts the searches of one request that a limit stopped with work
-    left.  Their answers may be incomplete, and an empty one proves nothing."""
+    """The search budget of one request: the states its searches have
+    visited, and how many of them a limit stopped with work left.  A
+    stopped search's answer may be incomplete, and an empty one proves
+    nothing."""
 
+    states: int = 0
     stops: int = 0
 
     @property
@@ -221,7 +229,9 @@ def breadth_first(
 
     step(state, depth) returns None for a finished state, else a function
     listing its children, called only when depth is below rounds.  States
-    whose key was seen before are dropped.
+    whose key was seen before are dropped.  Each visited state counts on
+    log.states, which every search of the request shares, and the search
+    stops once that count reaches MAX_STATES.
     """
     queue: deque[tuple[T, int]] = deque()
     visited: set[Hashable] = set()
@@ -234,16 +244,15 @@ def breadth_first(
 
     for seed in seeds:
         push(seed, 0)
-        if len(queue) > MAX_STATES:
+        if log.states + len(queue) > MAX_STATES:
             break  # the loop below stops at MAX_STATES
     found: list[T] = []
-    states = 0
     while queue:
         state, depth = queue.popleft()
-        states += 1
-        if states > MAX_STATES:
+        if log.states >= MAX_STATES:
             log.stops += 1
             break
+        log.states += 1
         children = step(state, depth)
         if children is None:
             found.append(state)

@@ -7,8 +7,8 @@ it, removing) facts.  Candidates come from the atom's explanations: every
 minimal stored support is a kernel, and a change is rational when it cuts
 or completes kernels and nothing else.  Constraint repair, and the single
 repair round that contraction and revision grant a candidate, run on
-lang.breadth_first and share its limits.  The checkers at the bottom state
-the rationality postulates operationally so a result can be audited.
+lang.breadth_first with one SearchLog per operation.  The checkers at the
+bottom state the postulates operationally so a result can be audited.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .explain import (
 from .hitting import minimal_hitting_sets
 from .insertion import disarm_steps, insertion_candidates
 from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first, check_goal
-from .semantics import check_ic, firing_instances, fixpoint_model, least_model
+from .semantics import check_ic, firing_instances, fixpoint_model, least_model, removals_settled
 
 
 def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction, ...]:
@@ -95,16 +95,8 @@ def repair_constraints(
         violated = check_ic(after)
         if not violated:
             return None
-
-        def children() -> list[Transaction]:
-            steps = disarm_steps(after, violated[0], lambda a: insertion_candidates(after, a, log=log))
-            return [
-                m for m in map(tx.merge, steps)
-                if m.consistent and m.size > tx.size
-                and not (m.additions & protect_absent or m.removals & protect_present)
-            ]
-
-        return children
+        steps = disarm_steps(after, violated[0], lambda a: insertion_candidates(after, a, log=log))
+        return lambda: tx.grow(steps, protect_present, protect_absent)
 
     found = breadth_first([Transaction()], step, log)
     keep = sorted(antichain(found), key=Transaction.rank_key)
@@ -121,10 +113,12 @@ def _finalize(
     want_derivable: bool,
 ) -> tuple[Transaction, ...]:
     """The raw candidates that reach the goal without breaking a constraint
-    (proved of removals on a monotone, consistent database), plus one round
-    of repairs for those that break one, which must still reach the goal."""
+    (proved where semantics.removals_settled holds), plus one round of
+    repairs on the same SearchLog for those that break one, which must
+    still reach the goal."""
     protect_goal = frozenset() if want_derivable else frozenset({atom})
-    settled = not want_derivable and db.monotone and not check_ic(db)
+    settled = not want_derivable and removals_settled(db)
+    log = SearchLog()
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db)
@@ -134,12 +128,10 @@ def _finalize(
             return None
         if depth > 0:
             return list
-        outcome = repair_constraints(
-            after, protect_present=tx.additions, protect_absent=tx.removals | protect_goal
-        )
-        return lambda: [m for m in map(tx.merge, outcome.transactions) if m.consistent]
+        outcome = repair_constraints(after, tx.additions, tx.removals | protect_goal, log)
+        return lambda: tx.grow(outcome.transactions)
 
-    found = breadth_first(raw, (lambda *_: None) if settled else step, SearchLog())
+    found = breadth_first(raw, (lambda *_: None) if settled else step, log)
     return tuple(sorted(antichain(found), key=Transaction.rank_key))
 
 

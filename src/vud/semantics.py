@@ -499,6 +499,14 @@ def check_ic(db: Database) -> tuple[Rule, ...]:
     return tuple(_Joins(least_model(db), db.universe()).instances(_compiled(db.ic), db.ic))
 
 
+def removals_settled(db: Database) -> bool:
+    """True when a candidate made of cuts is verified with no model: on a
+    monotone database (Database.monotone) removing facts only removes
+    proofs, so a cut stays a cut when more facts go, and constraints that
+    hold keep holding."""
+    return db.monotone and not check_ic(db)
+
+
 def reduct(rules: Sequence[Rule], model: frozenset[Atom], universe: Iterable[str]) -> tuple[Rule, ...]:
     """Ground positive rules left after settling negation against the model.
 

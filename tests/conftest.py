@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from vud import engine, insertion, lang, revision
+
 # the database strategies filter aggressively (consistent constraints,
 # goals that must or must not be derivable), which can trip the filter
 # health check on an unlucky run even though generation stays fast
@@ -12,7 +14,7 @@ settings.load_profile("vud")
 
 
 # A random program (three constants, body-only variables, view cycles) on
-# which inserting v3(b,a) runs the insertion world search into MAX_STATES.
+# which inserting v3(b,a) runs the request's searches into MAX_STATES.
 BUDGET_PROBE_TEXT = """\
 v1 :- v1, e2(b,a).
 v1 :- e2(Y1,a), e4(Y1,c).
@@ -39,3 +41,25 @@ e4(c,b).
 @pytest.fixture
 def budget_probe_text() -> str:
     return BUDGET_PROBE_TEXT
+
+
+@pytest.fixture
+def search_steps(monkeypatch) -> list[int]:
+    """The step calls of every breadth-first search run while the test
+    does, one entry per search, in the order the searches start."""
+    counts: list[int] = []
+    real = lang.breadth_first
+
+    def counted(seeds, step, log, *args, **kwargs):
+        index = len(counts)
+        counts.append(0)
+
+        def counted_step(state, depth):
+            counts[index] += 1
+            return step(state, depth)
+
+        return real(seeds, counted_step, log, *args, **kwargs)
+
+    for module in (lang, engine, insertion, revision):
+        monkeypatch.setattr(module, "breadth_first", counted)
+    return counts

@@ -571,16 +571,16 @@ def scanning_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
                 chosen = c
                 break
         if chosen is None:
-            branches.append(Branch(lits, order, closed=False))
+            branches.append(Branch(order, closed=False))
             continue
         expansions += 1
         if not chosen.head:
-            branches.append(Branch(lits, order, closed=True))
+            branches.append(Branch(order, closed=True))
             continue
         children: list[tuple[Literal, ...]] = []
         for disjunct in chosen.head:
             if disjunct.complement() in lits:
-                branches.append(Branch(lits | {disjunct}, order + (disjunct,), closed=True))
+                branches.append(Branch(order + (disjunct,), closed=True))
             else:
                 children.append(order + (disjunct,))
         stack.extend(reversed(children))

@@ -6,6 +6,8 @@ reports the same transactions the REPL lists."""
 import io
 from pathlib import Path
 
+import pytest
+
 from vud.cli import Session, cmd_repl, main, parse_atom
 from vud.lang import Atom, Database
 
@@ -107,6 +109,17 @@ def test_update_out_of_budget_exits_2(tmp_path, capsys, budget_probe_text):
     assert code == 2
     assert out == ""
     assert "search budget ran out" in err
+    assert "Traceback" not in err
+
+
+def test_round_limit_is_no_option(capsys):
+    # argparse mistakes leave through the parser's own SystemExit
+    with pytest.raises(SystemExit) as exit_:
+        main(["update", BASIC, "--delete", "p", "--max-iter", "3"])
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "vud: error: unrecognized arguments: --max-iter 3" in err.splitlines()
     assert "Traceback" not in err
 
 
@@ -282,7 +295,6 @@ def test_repl_loop_over_streams():
 
     class Args:
         variant = "minimal"
-        max_iter = 8
 
     assert cmd_repl(db, Args(), out, inp) == 0
     text = out.getvalue()

@@ -189,11 +189,7 @@ def test_transform_rules_rejects_negation():
 
 
 def test_branch_extraction_helpers():
-    branch = Branch(
-        frozenset({L("p", True), L("a", True), L("c")}),
-        (L("p", True), L("a", True), L("c")),
-        closed=False,
-    )
+    branch = Branch((L("p", True), L("a", True), L("c")), closed=False)
     assert branch_deletions(branch, atoms("a", "e")) == atoms("a")
 
 
@@ -266,7 +262,7 @@ def _data_cases():
 
 def _assert_same_tableau(db: Database, goal: Atom) -> None:
     for program in (deletion_program(db), materialized_program(db)):
-        # every field: each branch's literals, order and closed flag, the
+        # every field: each branch's order (so its literals) and closed flag, the
         # branch order, peak_live and expansions
         want = scanning_tableau(program, delete_request(goal))
         assert build_tableau(program, delete_request(goal)) == want, (db.rules, goal)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 
+from vud import lang
 from vud.deletion import deletion_candidates
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.lang import Atom, Database, Transaction, validate
@@ -123,6 +124,32 @@ def test_exhausted_search_is_reported_not_raised(budget_probe_text):
         view_update(db, UpdateRequest(inserts=(Atom("v3", ("b", "a")),)))
     assert err.value.exhausted
     assert "insert v3(b,a): no candidate change, the search budget ran out" in err.value.trace
+
+
+def test_exhausted_search_stays_within_one_state_budget(budget_probe_text, search_steps):
+    db = Database.parse(budget_probe_text)
+    with pytest.raises(UnrealizableError) as err:
+        view_update(db, UpdateRequest(inserts=(Atom("v3", ("b", "a")),)))
+    assert err.value.exhausted
+    assert len(search_steps) > 1
+    assert sum(search_steps) <= lang.MAX_STATES
+
+
+def test_state_budget_bounds_the_request_not_each_search(monkeypatch, search_steps):
+    # the staff insertion runs several searches; a budget above the largest
+    # of them but below their total must stop the request
+    request = UpdateRequest(inserts=(Atom("staff_chair", ("aravindan", "gerhard")),))
+    assert not view_update(Database.load("data/staff.dl"), request).exhausted
+    largest, total = max(search_steps), sum(search_steps)
+    assert largest + 1 < total
+    search_steps.clear()
+    monkeypatch.setattr(lang, "MAX_STATES", (largest + total) // 2)
+    try:
+        exhausted = view_update(Database.load("data/staff.dl"), request).exhausted
+    except UnrealizableError as err:
+        exhausted = err.exhausted
+    assert exhausted
+    assert sum(search_steps) <= lang.MAX_STATES
 
 
 def test_empty_request_repairs_constraints():

@@ -4,6 +4,7 @@ import time
 
 from hypothesis import assume, given, settings
 
+from vud import lang
 from vud.deletion import deletion_candidates
 from vud.insertion import insertion_candidates
 from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
@@ -138,6 +139,18 @@ def test_repair_reports_exhaustion():
     outcome = repair_constraints(Database.parse(text))
     assert outcome.transactions == ()
     assert outcome.exhausted
+
+
+def test_revision_and_its_repairs_share_one_state_budget(monkeypatch, search_steps):
+    # storing a and b arms both denials, which a repair search disarms
+    db = Database.parse("p :- a, b. :- a, c. :- b, d. c. d.")
+    assert revise(db, Atom("p")) == (Transaction(atoms("a", "b"), atoms("c", "d")),)
+    largest, total = max(search_steps), sum(search_steps)
+    assert largest + 1 < total
+    search_steps.clear()
+    monkeypatch.setattr(lang, "MAX_STATES", (largest + total) // 2)
+    revise(db, Atom("p"))
+    assert sum(search_steps) <= lang.MAX_STATES
 
 
 def test_repair_on_clean_database(basic):
