@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lang import EQ, Atom, Database, Literal, Rule, Transaction, antichain, unique
+from .lang import EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, unique
 from .semantics import firing_instances, least_model, reduct
 
 
@@ -192,16 +192,17 @@ def branch_deletions(branch: Branch, edb: frozenset[Atom]) -> frozenset[Atom]:
     return frozenset(l.atom for l in branch.order if l.negated and l.atom in edb)
 
 
-def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom]) -> bool:
+def strongly_minimal(db: Database, atom: Atom, candidate: frozenset[Atom], log: SearchLog | None = None) -> bool:
     """True when removing the candidate's stored facts makes atom
-    underivable and putting any single one back restores a proof of it."""
+    underivable and putting any single one back restores a proof of it.
+    The changed databases are applied on the request's log, if given."""
     cut = Transaction(frozenset(), candidate)
-    return atom not in least_model(cut.apply(db)) and all(
-        atom in least_model(back) for back in cut.undo_each(db, candidate)
+    return atom not in least_model(cut.apply(db, log)) and all(
+        atom in least_model(back) for back in cut.undo_each(db, candidate, log)
     )
 
 
-def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
+def deletion_candidates(db: Database, atom: Atom, log: SearchLog | None = None) -> tuple[frozenset[Atom], ...]:
     """Sets of stored facts whose removal makes atom underivable, in
     tableau branch order.
 
@@ -215,12 +216,12 @@ def deletion_candidates(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]
     cut is a strict subset of it.  So antichain keeps the subset-minimal
     cuts, with no model computed.  A negated literal, even over a base
     predicate, lets a removal create a proof, so any other database puts
-    each candidate through strongly_minimal.
+    each candidate through strongly_minimal, on the request's log.
     """
     if atom not in least_model(db):
         return (frozenset(),)
     tableau = build_tableau(deletion_program(db), delete_request(atom))
     candidates = unique(branch_deletions(b, db.edb) for b in tableau.open())
     if not db.monotone:
-        return tuple(c for c in candidates if strongly_minimal(db, atom, c))
+        return tuple(c for c in candidates if strongly_minimal(db, atom, c, log))
     return tuple(antichain(candidates))

@@ -14,7 +14,10 @@ one SearchLog: MAX_STATES states for the whole request, and MAX_ROUNDS
 rounds per search.  A search that reaches a limit returns what it has and
 marks the log, which ends up as the exhausted flag on the result or the
 error.  If nothing survives, the request is unrealizable and the error
-carries a trace of what was tried.
+carries a trace of what was tried.  The same log keeps the changed
+databases the request reaches, so each is built, and its model computed,
+once per request, whether a search, the verifying step or the postulate
+audit asks for it.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
@@ -123,13 +126,13 @@ def _insert_family(
     return (Transaction(frozenset({goal}), frozenset()),)
 
 
-def _delete_family(db: Database, goal: Atom, variant: str) -> tuple[Transaction, ...]:
+def _delete_family(db: Database, goal: Atom, variant: str, log: SearchLog) -> tuple[Transaction, ...]:
     if goal.pred in db.view_predicates:
         if variant == "materialized":
             tableau = build_tableau(materialized_program(db), delete_request(goal))
             return unique(Transaction(frozenset(), branch_deletions(b, db.edb)) for b in tableau.open())
         return tuple(
-            Transaction(frozenset(), cut) for cut in deletion_candidates(db, goal)
+            Transaction(frozenset(), cut) for cut in deletion_candidates(db, goal, log)
         )
     if goal not in db.edb:
         return (Transaction(),)
@@ -148,9 +151,13 @@ def view_update(
     cannot where semantics.removals_settled holds) is merged with the goal's
     family or the repairs of its own result, for up to MAX_ROUNDS rounds.
     Every search the request starts shares one SearchLog, so MAX_STATES
-    bounds the request as a whole.  Raises UnrealizableError when nothing
-    survives, with a trace of the failed attempts, and ValueError for a goal
-    that lang.check_goal rejects.
+    bounds the request as a whole.  Every change the request applies goes
+    through the same log, so a changed database the request reaches again
+    (in a search, the verifying step or the audit) is the same instance,
+    with its model; the result's database is the verified instance, its
+    model computed, and the log is dropped on return.  Raises
+    UnrealizableError when nothing survives, with a trace of the failed
+    attempts, and ValueError for a goal that lang.check_goal rejects.
     """
     if variant not in ("minimal", "materialized"):
         raise ValueError("variant must be 'minimal' or 'materialized', got %r" % variant)
@@ -174,7 +181,7 @@ def view_update(
     def family(after: Database, kind: str, goal: Atom) -> tuple[Transaction, ...]:
         if kind == "insert":
             return _insert_family(after, goal, minimality, log)
-        return _delete_family(after, goal, variant)
+        return _delete_family(after, goal, variant, log)
 
     families: list[tuple[Transaction, ...]] = []
     for kind, goal in request.goals:
@@ -211,7 +218,7 @@ def view_update(
         return outcome.transactions
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
-        after = tx.apply(db)
+        after = tx.apply(db, log)
         model = least_model(after)
         for kind, goal in request.goals:
             if (goal in model) != (kind == "insert"):
@@ -238,13 +245,15 @@ def view_update(
         verified = antichain(verified)
     alternatives = tuple(sorted(verified, key=Transaction.rank_key))
     chosen = alternatives[0]
-    after = chosen.apply(db)
+    # the instance the search verified, which keeps its model and violations
+    after = chosen.apply(db, log)
+    least_model(after)
 
     postulates: tuple[PostulateReport, ...] = ()
     if len(request.goals) == 1:
         (kind, goal), = request.goals
         if goal.pred in db.view_predicates:
-            report = rationality_report(db, goal, chosen, kind)
+            report = rationality_report(db, goal, chosen, kind, log)
             postulates = (PostulateReport(goal, kind, tuple(report.items())),)
 
     return UpdateResult(

@@ -76,14 +76,14 @@ def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
     return [Rule(rule.head, (first, Literal(helper)))] + _binarize(Rule(helper, rest), names)
 
 
-def normalize_rules(rules: Sequence[Rule]) -> tuple[Rule, ...]:
+def normalize_rules(rules: Sequence[Rule], taken: Collection[str] = ()) -> tuple[Rule, ...]:
     """Propagation form: canonical heads for alternative-defined predicates,
     single-atom alternatives, at most two subgoals per rule.  Helper
     predicates are named _v1, _v2, ..., skipping every predicate the rules
-    mention."""
+    mention and the taken names."""
     order: list[str] = []
     groups: dict[str, list[Rule]] = {}
-    taken: set[str] = set()
+    taken = set(taken)
     for r in rules:
         taken.update(a.pred for a in ([] if r.head is None else [r.head]) + [l.atom for l in r.body])
         if r.head is None or not r.body:
@@ -152,15 +152,31 @@ def view_definitions(rules: Sequence[Rule]) -> dict[str, ViewDefinition]:
     return defs
 
 
-def _propagation_form(idb: tuple[Rule, ...]) -> tuple[tuple[Rule, ...], dict[str, ViewDefinition]]:
+_Form = tuple[tuple[Rule, ...], dict[str, ViewDefinition]]
+
+
+def _propagation_form(idb: tuple[Rule, ...], taken: frozenset[str] = frozenset()) -> _Form:
     """The helper rules of the normalised rules (those whose head predicate
     no rule of idb defines) and the definitions of every predicate, views
-    and helpers alike.  Kept per rule set by semantics.kept_form, so it
-    holds no rule of idb: helper rules are new, definitions hold literals."""
-    normalized = normalize_rules(idb)
+    and helpers alike, with helper names that skip the taken ones too.
+    Kept per rule set by semantics.kept_form, so it holds no rule of idb:
+    helper rules are new, definitions hold literals."""
+    normalized = normalize_rules(idb, taken)
     views = {r.head.pred for r in idb if r.head is not None}
     helpers = tuple(r for r in normalized if r.head is not None and r.head.pred not in views)
     return helpers, view_definitions(normalized)
+
+
+def _form(db: Database) -> _Form:
+    """The propagation form of db's rules, kept per rule set.  Its helper
+    names skip the predicates the rules mention; when db's facts or
+    denials use one of them too (a base predicate named _v1, say, would
+    stand in for the helper), db gets the form whose helper names skip its
+    base predicates as well, kept beside the first."""
+    form = kept_form(db.idb, _propagation_form)
+    if form[1].keys().isdisjoint(db.base_predicates):
+        return form
+    return kept_form(db.idb, _propagation_form, db.base_predicates)
 
 
 def search_model(db: Database) -> frozenset[Atom]:
@@ -168,7 +184,7 @@ def search_model(db: Database) -> frozenset[Atom]:
     atoms, derived by the helper rules alone over it.  Helper rules negate
     only predicates of db and never reach themselves, so this is the model
     of the normalised rules over db's facts."""
-    helpers = kept_form(db.idb, _propagation_form)[0]
+    helpers = _form(db)[0]
     model = least_model(db)
     return fixpoint_model(helpers, model, db.universe()) if helpers else model
 
@@ -198,7 +214,7 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
     jointly over the constants plus a fresh witness.
     """
     out: list[Clause] = []
-    for pred, defn in kept_form(db.idb, _propagation_form)[1].items():
+    for pred, defn in _form(db)[1].items():
         trigger = Literal(delta_add(defn.head))
         if len(defn.alternatives) > 1:
             head = tuple(Literal(delta_add(b[0].atom)) for b in defn.alternatives)
@@ -274,14 +290,14 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     world search has no round limit, only the request's state budget: a stop
     there is marked on the log and the worlds finished so far are returned.
 
-    The definitions are the propagation form kept per rule set by
-    semantics.kept_form, not on the Database: a copy on every database a
+    The definitions are those of the propagation form (_form), kept per
+    rule set by semantics.kept_form, not on the Database: a copy on every database a
     workload keeps alive costs more memory than rebuilding it saves.  The
     model is search_model(db), the kept model plus the helper atoms.
     """
     if log is None:
         log = SearchLog()
-    defs = kept_form(db.idb, _propagation_form)[1]
+    defs = _form(db)[1]
     model = search_model(db)
     universe = tuple(sorted(db.universe()))
     # witnesses avoid the goal's constants too, or a goal constant could
@@ -306,7 +322,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
         if sign == ADD:
             options = _options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
         else:
-            options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom)]
+            options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom, log)]
         for option in options:
             child = tx.merge(option)
             if child.consistent:
@@ -345,10 +361,12 @@ def disarm_steps(
     db: Database,
     instance: Rule,
     insert_view: Callable[[Atom], Iterable[Transaction]],
+    log: SearchLog | None = None,
 ) -> Iterator[Transaction]:
     """Single-purpose changes that break one violated denial instance:
-    retract a true positive subgoal, or make a negated one true (views
-    through insert_view)."""
+    retract a true positive subgoal (views through deletion_candidates, on
+    the request's log), or make a negated one true (views through
+    insert_view)."""
     for lit in instance.body:
         a = lit.atom
         if a.pred == EQ:
@@ -359,7 +377,7 @@ def disarm_steps(
             else:
                 yield Transaction(frozenset({a}), frozenset())
         elif a.pred in db.view_predicates:
-            for cut in deletion_candidates(db, a):
+            for cut in deletion_candidates(db, a, log):
                 yield Transaction(frozenset(), cut)
         elif a in db.edb:
             yield Transaction(frozenset(), frozenset({a}))
@@ -392,12 +410,12 @@ def insertion_candidates(
         log = SearchLog()
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
-        after = tx.apply(db)
+        after = tx.apply(db, log)
         if atom not in least_model(after):
             return lambda: tx.grow(_world_transactions(after, atom, log))
         violated = check_ic(after)
         if violated:
-            return lambda: tx.grow(disarm_steps(after, violated[0], lambda a: _world_transactions(after, a, log)))
+            return lambda: tx.grow(disarm_steps(after, violated[0], lambda a: _world_transactions(after, a, log), log))
         return None
 
     txs = breadth_first(_world_transactions(db, atom, log), step, log)
@@ -407,14 +425,14 @@ def insertion_candidates(
         txs = grounded
     txs = antichain(txs)
     if minimality:
-        txs = [t for t in txs if _necessary(db, atom, t)]
+        txs = [t for t in txs if _necessary(db, atom, t, log)]
     return tuple(sorted(txs, key=Transaction.rank_key))
 
 
-def _necessary(db: Database, atom: Atom, tx: Transaction) -> bool:
+def _necessary(db: Database, atom: Atom, tx: Transaction, log: SearchLog | None = None) -> bool:
     """Every single change pulls its weight: undoing any one of them either
     loses the goal or breaks a constraint."""
-    slims = itertools.chain(tx.undo_each(db, tx.additions), tx.undo_each(db, tx.removals))
+    slims = itertools.chain(tx.undo_each(db, tx.additions, log), tx.undo_each(db, tx.removals, log))
     return not any(derivable(slim, atom) and not check_ic(slim) for slim in slims)
 
 

@@ -18,7 +18,7 @@ import itertools
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 EQ = "eq"
@@ -152,20 +152,24 @@ class Transaction:
     def consistent(self) -> bool:
         return not self.additions & self.removals
 
-    def apply(self, db: "Database") -> "Database":
+    def apply(self, db: "Database", log: "SearchLog | None" = None) -> "Database":
         """The changed database: db itself when the stored facts stay as they
         are, so the model kept on db is reused, else db.with_edb of the
-        changed facts, which shares db's rules and constraints."""
+        changed facts, which shares db's rules and constraints.  Given the
+        request's log, a fact set the request reached before comes back as
+        the same instance, with what it keeps (SearchLog.changed)."""
         edb = db.edb
         if self.removals.isdisjoint(edb) and self.additions - self.removals <= edb:
             return db
-        return db.with_edb((edb | self.additions) - self.removals)
+        facts = (edb | self.additions) - self.removals
+        return db.with_edb(facts) if log is None else log.changed(db, facts)
 
-    def undo_each(self, db: "Database", changes: Iterable[Atom]) -> Iterator["Database"]:
+    def undo_each(self, db: "Database", changes: Iterable[Atom],
+                  log: "SearchLog | None" = None) -> Iterator["Database"]:
         """For each of the given changes in sorted order, the database after
-        this change with that one change undone."""
+        this change with that one change undone, applied on the log."""
         for x in sorted(changes):
-            yield Transaction(self.additions - {x}, self.removals - {x}).apply(db)
+            yield Transaction(self.additions - {x}, self.removals - {x}).apply(db, log)
 
     def rank_key(self) -> tuple[int, list[str], list[str]]:
         """Ranking order: fewer changes first, ties broken lexically."""
@@ -177,13 +181,16 @@ def antichain(family: Sequence[S]) -> list[S]:
     transactions, in their given order.
 
     Smallest first, each member is compared only with the minimal members
-    kept so far: a member with a strict subset in the family has a minimal
-    one below it, and the members are distinct, so no kept member of its
-    own size is a subset of it.
+    kept so far that are strictly smaller: a member with a strict subset in
+    the family has a minimal one below it, and the members are distinct, so
+    no kept member of its own size is a subset of it.
     """
     minimal: list[S] = []
+    size = below = 0  # below: how many kept members are smaller than size
     for m in sorted(family, key=len):
-        if not any(k <= m for k in minimal):
+        if len(m) != size:
+            size, below = len(m), len(minimal)
+        if not any(k <= m for k in itertools.islice(minimal, below)):
             minimal.append(m)
     kept = set(minimal)
     return [m for m in family if m in kept]
@@ -205,17 +212,33 @@ MAX_ROUNDS = 8
 
 @dataclass
 class SearchLog:
-    """The search budget of one request: the states its searches have
-    visited, and how many of them a limit stopped with work left.  A
-    stopped search's answer may be incomplete, and an empty one proves
-    nothing."""
+    """What one request keeps while it runs: its search budget (the states
+    its searches have visited, and how many of them a limit stopped with
+    work left) and the changed databases its checks reach.  A stopped
+    search's answer may be incomplete, and an empty one proves nothing.
+
+    The log goes when the request returns; no result, error or Database
+    refers to it, so nothing it keeps outlives the request.
+    """
 
     states: int = 0
     stops: int = 0
+    databases: dict[frozenset[Atom], "Database"] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def exhausted(self) -> bool:
         return self.stops > 0
+
+    def changed(self, db: "Database", facts: frozenset[Atom]) -> "Database":
+        """db.with_edb(facts), made once per fact set: the request checks
+        the same changed database in its search, its verifying step and its
+        audit, and each check reads the model and the violations the
+        instance keeps.  An instance is reused only when it shares db's
+        rules and constraints."""
+        kept = self.databases.get(facts)
+        if kept is None or kept.idb is not db.idb or kept.ic is not db.ic:
+            kept = self.databases[facts] = db.with_edb(facts)
+        return kept
 
 
 def breadth_first(
@@ -462,7 +485,8 @@ class Database:
 
     # The derivations below are computed on first use and kept on the
     # instance; equality and hashing ignore them.  semantics.least_model
-    # keeps the model on the instance the same way.
+    # and semantics.check_ic keep the model and the violations on the
+    # instance the same way, and nothing else is kept on it.
 
     @functools.cached_property
     def rules(self) -> tuple[Rule, ...]:

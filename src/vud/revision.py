@@ -7,7 +7,8 @@ it, removing) facts.  Candidates come from the atom's explanations: every
 minimal stored support is a kernel, and a change is rational when it cuts
 or completes kernels and nothing else.  Constraint repair, and the single
 repair round that contraction and revision grant a candidate, run on
-lang.breadth_first with one SearchLog per operation.  The checkers at the
+lang.breadth_first with one SearchLog per operation, which also keeps
+the changed databases the operation checks.  The checkers at the
 bottom state the postulates operationally so a result can be audited.
 """
 
@@ -91,11 +92,11 @@ def repair_constraints(
     stops = log.stops
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
-        after = tx.apply(db)
+        after = tx.apply(db, log)
         violated = check_ic(after)
         if not violated:
             return None
-        steps = disarm_steps(after, violated[0], lambda a: insertion_candidates(after, a, log=log))
+        steps = disarm_steps(after, violated[0], lambda a: insertion_candidates(after, a, log=log), log)
         return lambda: tx.grow(steps, protect_present, protect_absent)
 
     found = breadth_first([Transaction()], step, log)
@@ -121,7 +122,7 @@ def _finalize(
     log = SearchLog()
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
-        after = tx.apply(db)
+        after = tx.apply(db, log)
         if (atom in least_model(after)) != want_derivable:
             return list  # a dead end: no children
         if not check_ic(after):
@@ -196,9 +197,14 @@ def closed_under_rules(db: Database, model: frozenset[Atom]) -> bool:
 
 
 def rationality_report(
-    db: Database, atom: Atom, tx: Transaction, operation: str
+    db: Database, atom: Atom, tx: Transaction, operation: str, log: SearchLog | None = None
 ) -> dict[str, bool]:
     """Audit one candidate change against the rationality postulates.
+
+    The changed databases are applied on log when one is given: the
+    request's log already holds the result and, for a candidate its search
+    put through the put-one-back test, each database with one change
+    undone, with their models.
 
     Keys and their operational readings, for deleting / inserting:
 
@@ -219,7 +225,7 @@ def rationality_report(
     if operation not in ("delete", "insert"):
         raise ValueError("operation must be 'insert' or 'delete', got %r" % operation)
     before = least_model(db)
-    after_db = tx.apply(db)
+    after_db = tx.apply(db, log)
     after = least_model(after_db)
     report: dict[str, bool] = {}
     report["closure"] = closed_under_rules(after_db, after)
@@ -235,7 +241,7 @@ def rationality_report(
         report["weak-relevance"] = tx.removals <= license_
         cut = Transaction(frozenset(), tx.removals)
         report["strong-relevance"] = (atom not in after or not tx.removals) and all(
-            atom in least_model(back) for back in cut.undo_each(db, tx.removals)
+            atom in least_model(back) for back in cut.undo_each(db, tx.removals, log)
         )
     else:
         report["weak-success"] = atom in after
@@ -243,7 +249,7 @@ def rationality_report(
         report["vacuity"] = atom not in before or bool(check_ic(db)) or tx.is_empty
         report["weak-relevance"] = report["inclusion"]
         report["strong-relevance"] = not any(
-            atom in least_model(slim) for slim in tx.undo_each(db, tx.additions)
+            atom in least_model(slim) for slim in tx.undo_each(db, tx.additions, log)
         )
     return report
 

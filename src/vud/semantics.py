@@ -11,12 +11,16 @@ only rules with a subgoal whose predicate gained atoms are joined again,
 reading that subgoal from the new atoms.  Compiled rule sets are kept for
 the few databases in use, keyed by the identities of their rules.
 
-A database's model is computed once, on first use, and kept on the
-Database instance; every layer that needs it calls least_model(db), a
-changed database least_model(tx.apply(db)).  A changed database shares
-db's rule and constraint tuples (Database.with_edb), so their compiled
-programs are found again; its model is computed afresh over its own
-facts.  Only kb_equivalent and derivable_without_facts (another
+A database's model and its constraint violations are computed once, on
+first use, and kept on the Database instance; every layer that needs them
+calls least_model(db) and check_ic(db), a changed database
+least_model(tx.apply(db, log)).  A changed database shares db's rule and
+constraint tuples (Database.with_edb), so their compiled programs are
+found again.  The request's SearchLog keeps each changed database the
+request reaches, so a fact set that comes up again in the search, the
+verifying step or the audit is the same instance, whose model and
+violations are already there; the log, and with it every changed database
+it keeps, goes when the request returns.  Only kb_equivalent and derivable_without_facts (another
 universe), magic_query (other rules) and the insertion world search (its
 helper rules, over the kept model) call fixpoint_model themselves.  What
 other layers derive from a rule set alone (the propagation form of
@@ -44,7 +48,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .lang import (
     EQ,
@@ -191,7 +195,7 @@ class _Program:
             for r in rules
         ])
         self.refs: list[weakref.ref[Rule]] = []
-        self.forms: dict[Callable, object] = {}
+        self.forms: dict[tuple[Hashable, ...], object] = {}
         self._plans: list[_Plan | None] = [None] * len(rules)
         self._delta: dict[tuple[int, int], _Plan] = {}
         self._consts: frozenset[str] | None = None
@@ -273,9 +277,9 @@ def _compiled(rules: tuple[Rule, ...]) -> _Program:
 _F = TypeVar("_F")
 
 
-def kept_form(rules: tuple[Rule, ...], build: Callable[[tuple[Rule, ...]], _F]) -> _F:
-    """build(rules), made once per rule set and kept with the rules'
-    compiled program.  Databases derived by Transaction.apply share their
+def kept_form(rules: tuple[Rule, ...], build: Callable[..., _F], *args: Hashable) -> _F:
+    """build(rules, *args), made once per rule set and arguments and kept
+    with the rules' compiled program.  Databases derived by Transaction.apply share their
     parent's rules, so they find it again; it goes when the rules do, or
     when their program leaves the cache.  What build returns must hold no
     reference to the rules, or they could never go.
@@ -284,9 +288,10 @@ def kept_form(rules: tuple[Rule, ...], build: Callable[[tuple[Rule, ...]], _F]) 
     hold them, not every database a workload keeps alive.
     """
     forms = _compiled(rules).forms
-    form = forms.get(build)
+    key = (build, *args)
+    form = forms.get(key)
     if form is None:
-        form = forms[build] = build(rules)
+        form = forms[key] = build(rules, *args)
     return form  # type: ignore[return-value]
 
 
@@ -492,11 +497,19 @@ def check_ic(db: Database) -> tuple[Rule, ...]:
     Variables range over the constants of the model and the clauses, and
     instances come denial by denial in the order ground_program lists them,
     so the first violation is the same however the model was computed.
-    Empty result means every constraint is satisfied.
+    Empty result means every constraint is satisfied.  Computed on first
+    use and kept on the instance, as least_model keeps the model: a request
+    checks the same changed database in its search, its verifying step and
+    its audit.
     """
     if not db.ic:
         return ()
-    return tuple(_Joins(least_model(db), db.universe()).instances(_compiled(db.ic), db.ic))
+    kept = vars(db)
+    violated = kept.get("_violations")
+    if violated is None:
+        violated = kept["_violations"] = tuple(
+            _Joins(least_model(db), db.universe()).instances(_compiled(db.ic), db.ic))
+    return violated
 
 
 def removals_settled(db: Database) -> bool:

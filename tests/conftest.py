@@ -1,7 +1,10 @@
+import functools
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from vud import engine, insertion, lang, revision
+from vud import engine, insertion, lang, revision, semantics
 
 # the database strategies filter aggressively (consistent constraints,
 # goals that must or must not be derivable), which can trip the filter
@@ -63,3 +66,22 @@ def search_steps(monkeypatch) -> list[int]:
     for module in (lang, engine, insertion, revision):
         monkeypatch.setattr(module, "breadth_first", counted)
     return counts
+
+
+@pytest.fixture
+def model_computations(monkeypatch) -> list[tuple]:
+    """The (rules, facts, universe) of every fixpoint_model call made while
+    the test runs, in call order; universe is None when the call names
+    none."""
+    calls: list[tuple] = []
+    real = semantics.fixpoint_model
+
+    @functools.wraps(real)
+    def recorded(rules, facts, universe=None):
+        calls.append((tuple(rules), frozenset(facts), None if universe is None else frozenset(universe)))
+        return real(rules, facts, universe)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "vud" or name.startswith("vud.")) and getattr(module, "fixpoint_model", None) is real:
+            monkeypatch.setattr(module, "fixpoint_model", recorded)
+    return calls

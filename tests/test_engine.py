@@ -152,6 +152,37 @@ def test_state_budget_bounds_the_request_not_each_search(monkeypatch, search_ste
     assert sum(search_steps) <= lang.MAX_STATES
 
 
+@pytest.mark.parametrize("text,request_", [
+    (None, UpdateRequest(inserts=(Atom("staff_chair", ("aravindan", "gerhard")),))),
+    # the negated literal sends every cut through the put-one-back test
+    ("p :- a, not b.\np :- c, d.\nq :- c, not e.\na.\nc.\nd.\n:- q, f.\n",
+     UpdateRequest(deletes=(Atom("p"),))),
+])
+def test_request_computes_each_model_once(staff, text, request_, model_computations):
+    db = staff if text is None else Database.parse(text)
+    least_model(db)
+    model_computations.clear()
+    result = view_update(db, request_)
+    assert result.postulates and result.postulates[0].ok
+    assert model_computations
+    assert len(set(model_computations)) == len(model_computations)
+
+
+def test_result_database_keeps_its_model(basic, staff, model_computations):
+    requests = [
+        (staff, UpdateRequest(inserts=(Atom("staff_chair", ("aravindan", "gerhard")),))),
+        (basic, UpdateRequest(deletes=(Atom("p"),))),
+        (basic, UpdateRequest(deletes=(Atom("p"), Atom("q")))),
+        (basic, UpdateRequest(deletes=(Atom("e"),))),
+    ]
+    for db, request in requests:
+        result = view_update(db, request)
+        model_computations.clear()
+        least_model(result.database)
+        check_ic(result.database)
+        assert model_computations == [], request
+
+
 def test_empty_request_repairs_constraints():
     db = Database.parse("a.\nb.\n:- b.\n")
     result = view_update(db, UpdateRequest())

@@ -149,6 +149,24 @@ def test_helper_names_skip_the_program_predicates():
     assert insertion_candidates(named, goal) == want
 
 
+@pytest.mark.parametrize("text", [
+    # a stored fact would stand in for the first helper atom
+    "p(X) :- a(X), b(X), c(X).\na(k).\nb(k).\n_v1(k).\n",
+    # a base predicate only a denial uses would be added as the helper atom
+    "p(X) :- a(X), b(X), c(X).\na(k).\nb(k).\nd(k).\n:- _v1(k), d(k).\n",
+])
+def test_helper_names_skip_fact_and_denial_predicates(text):
+    db = Database.parse(text)
+    goal = Atom("p", ("k",))
+    want = Transaction(frozenset({Atom("c", ("k",))}), frozenset())
+    assert insertion_candidates(db, goal) == (want,)
+    assert view_update(db, UpdateRequest(inserts=(goal,))).chosen == want
+    # without a stored _v1 fact the first database reads the form of its
+    # rules alone, and gets the same candidate
+    plain = db.with_edb(db.edb - {Atom("_v1", ("k",))})
+    assert insertion_candidates(plain, goal) == (want,)
+
+
 def test_insertion_through_constant_head():
     db = Database.parse("p(a) :- q.\np(X) :- r(X).\n")
     at_a = insertion_candidates(db, Atom("p", ("a",)))
@@ -269,7 +287,7 @@ def test_propagation_form_is_built_once_per_rule_set(monkeypatch):
     one normalisation of the rules."""
     normalized, searched = [], []
     normalize, worlds = insertion.normalize_rules, insertion.insertion_worlds
-    monkeypatch.setattr(insertion, "normalize_rules", lambda rules: normalized.append(rules) or normalize(rules))
+    monkeypatch.setattr(insertion, "normalize_rules", lambda rules, *a: normalized.append(rules) or normalize(rules, *a))
     monkeypatch.setattr(insertion, "insertion_worlds", lambda db, *a: searched.append(db) or worlds(db, *a))
     # +a and +b make r true, so the first candidate is rerun against the
     # database it produced

@@ -231,6 +231,20 @@ def test_antichain_matches_pairwise_filter_on_transactions():
     assert dropped
 
 
+def test_antichain_compares_no_members_of_one_size(monkeypatch):
+    """Distinct members of one size cannot be subsets of each other, so the
+    filter keeps them all without comparing any two."""
+    compared = []
+    order = Transaction.__le__
+    monkeypatch.setattr(Transaction, "__le__", lambda self, other: compared.append(self) or order(self, other))
+    family = [Transaction(frozenset(), frozenset({Atom("a%d" % i)})) for i in range(50)]
+    assert antichain(family) == family
+    assert compared == []
+    # a smaller member is still compared with every larger one
+    assert antichain(family + [Transaction()]) == [Transaction()]
+    assert len(compared) == 50
+
+
 def test_transaction_subset_order():
     a, b = Atom("a"), Atom("b")
     small = Transaction(frozenset({a}), frozenset())

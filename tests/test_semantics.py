@@ -123,6 +123,20 @@ def test_model_computed_once_per_database(monkeypatch):
     assert len(calls) == 1
 
 
+def test_violations_kept_per_database(monkeypatch):
+    staff = Database.load(str(DATA / "staff.dl"))
+    twochairs = staff.with_edb(staff.edb | {Atom("group_chair", ("infor1", "gerhard"))})
+    first = check_ic(twochairs)
+    assert first
+    joins = []
+    monkeypatch.setattr(semantics._Joins, "instances", lambda *args: joins.append(args) or [])
+    assert check_ic(twochairs) is first
+    assert check_ic(staff) == () and len(joins) == 1
+    assert check_ic(staff) == () and len(joins) == 1
+    # an equal database keeps violations of its own
+    assert check_ic(Database(twochairs.rules)) == () and len(joins) == 2
+
+
 def test_put_back_never_evaluates_the_database_itself(monkeypatch):
     db = Database.parse("p :- a, not b.\na.\n")
     least_model(db)
