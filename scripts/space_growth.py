@@ -3,10 +3,13 @@
 The depth-first search keeps only the active branch and its pending
 siblings, so the number of simultaneously live branches should stay
 polynomial in the chain length even though the family of open branches
-it enumerates doubles with every extra link.  This script reports both
-growth curves and fits them: a log-log least-squares exponent for the
-peak live count (polynomial test) and a semi-log slope for the open
-branch count (exponential rate).
+the raw tableau enumerates doubles with every extra link.  This script
+reports both growth curves and fits them: a log-log least-squares
+exponent for the peak live count (polynomial test) and a semi-log slope
+for the open branch count (exponential rate).  Beside them it reports the
+open branches and expansions of the complement-split tableau that
+deletion_candidates builds on these monotone databases, with a log-log
+exponent for its open branches (1 is linear).
 """
 
 import argparse
@@ -35,19 +38,28 @@ class Measurement:
     open_branches: int
     expansions: int
     seconds: float
+    split_open: int  # of the complement-split tableau
+    split_expansions: int
+    split_seconds: float
 
 
 def measure(n: int) -> Measurement:
     db = chain_database(n)
+    program = deletion_program(db)
     start = time.perf_counter()
-    tableau = build_tableau(deletion_program(db), delete_request(Atom("p1")))
-    elapsed = time.perf_counter() - start
+    tableau = build_tableau(program, delete_request(Atom("p1")))
+    middle = time.perf_counter()
+    split = build_tableau(program, delete_request(Atom("p1")), db.edb)
+    end = time.perf_counter()
     return Measurement(
         n=n,
         peak_live=tableau.peak_live,
         open_branches=len(tableau.open()),
         expansions=tableau.expansions,
-        seconds=elapsed,
+        seconds=middle - start,
+        split_open=len(split.open()),
+        split_expansions=split.expansions,
+        split_seconds=end - middle,
     )
 
 
@@ -59,10 +71,11 @@ def least_squares_slope(xs: list[float], ys: list[float]) -> float:
     return num / den
 
 
-def polynomial_exponent(rows: list[Measurement]) -> float:
-    """Log-log fit of peak live branches against chain length."""
+def polynomial_exponent(rows: list[Measurement], count=lambda r: r.peak_live) -> float:
+    """Log-log fit of a count, by default peak live branches, against
+    chain length."""
     xs = [math.log(r.n) for r in rows]
-    ys = [math.log(r.peak_live) for r in rows]
+    ys = [math.log(count(r)) for r in rows]
     return least_squares_slope(xs, ys)
 
 
@@ -78,17 +91,31 @@ def run(config: GrowthConfig) -> list[Measurement]:
 
 
 def report(rows: list[Measurement]) -> str:
-    lines = ["%4s %10s %14s %12s %9s" % ("n", "peak_live", "open_branches", "expansions", "seconds")]
+    header = ("n", "peak_live", "open_branches", "expansions", "seconds", "split_open", "split_expansions", "split_s")
+    lines = ["%4s %10s %14s %12s %9s %11s %17s %9s" % header]
     for r in rows:
         lines.append(
-            "%4d %10d %14d %12d %9.3f"
-            % (r.n, r.peak_live, r.open_branches, r.expansions, r.seconds)
+            "%4d %10d %14d %12d %9.3f %11d %17d %9.3f"
+            % (
+                r.n,
+                r.peak_live,
+                r.open_branches,
+                r.expansions,
+                r.seconds,
+                r.split_open,
+                r.split_expansions,
+                r.split_seconds,
+            )
         )
     lines.append("")
     lines.append("peak live branches: log-log fit exponent %.3f" % polynomial_exponent(rows))
     lines.append(
         "open branch family: semi-log slope %.3f (ln 2 = %.3f would be doubling)"
         % (exponential_rate(rows), math.log(2))
+    )
+    lines.append(
+        "complement-split open branches: log-log fit exponent %.3f (1 is linear)"
+        % polynomial_exponent(rows, lambda r: r.split_open)
     )
     return "\n".join(lines)
 

@@ -130,7 +130,7 @@ def _delete_family(db: Database, goal: Atom, variant: str, log: SearchLog) -> tu
     if goal.pred in db.view_predicates:
         if variant == "materialized":
             tableau = build_tableau(materialized_program(db), delete_request(goal))
-            return unique(Transaction(frozenset(), branch_deletions(b, db.edb)) for b in tableau.open())
+            return unique(Transaction(frozenset(), cut) for cut in branch_deletions(tableau, db.edb))
         return tuple(
             Transaction(frozenset(), cut) for cut in deletion_candidates(db, goal, log)
         )

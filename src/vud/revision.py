@@ -5,7 +5,10 @@ stored facts are up for revision.  Contraction retracts an atom by removing
 facts, revision accepts an atom by adding (and, when a constraint forces
 it, removing) facts.  Candidates come from the atom's explanations: every
 minimal stored support is a kernel, and a change is rational when it cuts
-or completes kernels and nothing else.  Constraint repair, and the single
+or completes kernels and nothing else.  On a database without negation
+the minimal cuts of the kernels are those of the complement-split
+deletion tableau, so contraction takes them from there, with no proof
+tree or hitting-set family built.  Constraint repair, and the single
 repair round that contraction and revision grant a candidate, run on
 lang.breadth_first with one SearchLog per operation, which also keeps
 the changed databases the operation checks.  The checkers at the
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .deletion import deletion_candidates
 from .explain import (
     local_explanations,
     minimal_members,
@@ -36,18 +40,24 @@ def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction
 
     Deleting: every kernel (minimal stored support of atom) must lose a
     member, so candidates are the minimal hitting sets of the kernel
-    family.  Inserting: one missing support set must be stored whole, so
-    each minimal member is a candidate, even one that misses the goal
-    once stored because a negated subgoal turns false; revise checks it.
+    family.  On a monotone database (Database.monotone) those are the
+    minimal cuts, taken from deletion_candidates' complement-split
+    tableau and put in the hitting sets' order; an atom the rules derive
+    with no fact stored has none.
+
+    Inserting: one missing support set must be stored whole, so each
+    minimal member is a candidate, even one that misses the goal once
+    stored because a negated subgoal turns false; revise checks it.
     """
     model = least_model(db)
     if operation == "delete":
         if atom not in model:
             return (Transaction(),)
-        kernels = local_explanations(db, atom)
-        return tuple(
-            Transaction(frozenset(), cut) for cut in minimal_hitting_sets(kernels)
-        )
+        if db.monotone:
+            cuts = minimal_members(deletion_candidates(db, atom))
+        else:
+            cuts = minimal_hitting_sets(local_explanations(db, atom))
+        return tuple(Transaction(frozenset(), cut) for cut in cuts)
     if operation == "insert":
         if atom in model:
             return (Transaction(),)

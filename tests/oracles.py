@@ -14,7 +14,8 @@ the tests check that both formulations agree.  antichain_pairwise is the
 quadratic subset-minimal filter that vud.lang.antichain replaced, and
 minimal_sets the loop vud.explain.minimal_members ran before it used
 antichain.  scanning_tableau is the deletion tableau over literal sets
-that the bitmask one replaced.  rebuilt_database is the way
+that the bitmask one replaced, and literal_deletions reads a branch's cut
+off its literals.  rebuilt_database is the way
 Database.with_edb built a changed database before derived databases
 shared their parent's clauses: a whole new clause list, partitioned
 again.  The *_loop functions are the four put-one-back loops that
@@ -585,6 +586,12 @@ def scanning_tableau(clauses: Sequence[Clause], request: Clause) -> Tableau:
                 children.append(order + (disjunct,))
         stack.extend(reversed(children))
     return Tableau(tuple(branches), peak, expansions)
+
+
+def literal_deletions(branch: Branch, edb: frozenset[Atom]) -> frozenset[Atom]:
+    """The stored facts a branch wants gone, read off its literals, as
+    vud.deletion.branch_deletions did before it read branch masks."""
+    return frozenset(l.atom for l in branch.order if l.negated and l.atom in edb)
 
 
 def normalized_model(db: Database) -> frozenset[Atom]:

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies producing small random databases."""
+"""Shared hypothesis strategies producing small random databases, and
+long_chain_text, a fixed family of long ones."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -71,3 +72,12 @@ def dbs_with_underivable_goal(draw, negation: bool = False, with_ic: bool = Fals
     missing = sorted(Atom(v) for v in db.view_predicates if Atom(v) not in model)
     assume(missing)
     return db, draw(st.sampled_from(missing))
+
+
+def long_chain_text(n: int) -> str:
+    """p0 :- a0, p1.  ...  p(n-1) :- a(n-1), pn.  pn :- an.  with every a_i
+    stored: the propositional chain of the benchmark's chain workload."""
+    lines = ["p%d :- a%d, p%d." % (i, i, i + 1) for i in range(n)]
+    lines.append("p%d :- a%d." % (n, n))
+    lines += ["a%d." % i for i in range(n + 1)]
+    return "\n".join(lines) + "\n"

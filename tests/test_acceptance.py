@@ -394,8 +394,8 @@ def test_criterion_07_explanation_cut_bridge():
                 violations.append((seed, str(alpha), "family member covers no minimal one"))
             union = frozenset().union(*family) if family else frozenset()
             tableau = build_tableau(program, delete_request(alpha))
-            for branch in tableau.open():
-                if not branch_deletions(branch, db.edb) <= union:
+            for cut in branch_deletions(tableau, db.edb):
+                if not cut <= union:
                     violations.append((seed, str(alpha), "cut outside the support union"))
             if minimal_hitting_sets(sorted(smallest)) != minimal_hitting_sets(sorted(family)):
                 violations.append((seed, str(alpha), "hitting sets differ"))

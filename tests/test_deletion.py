@@ -1,5 +1,6 @@
 """Transformations, tableau construction, deletion candidates."""
 
+import itertools
 import random
 import time
 from pathlib import Path
@@ -7,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from vud.lang import EQ, Atom, Database, Literal, Rule, unique
+from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, antichain, unique
 from vud.deletion import (
     Branch,
     Clause,
+    Tableau,
     branch_deletions,
     build_tableau,
     delete_request,
@@ -23,18 +25,20 @@ from vud.deletion import (
 from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
+from vud.revision import kernel_change
 from vud.semantics import check_ic, least_model
 
 from oracles import (
     clause_models,
     edb_cuts,
+    literal_deletions,
     minimal_sets,
     naive_model,
     saturated_sets,
     scanning_tableau,
     strongly_minimal_loop,
 )
-from strategies import dbs_with_derivable_goal
+from strategies import dbs_with_derivable_goal, long_chain_text
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -80,11 +84,26 @@ def test_tableau_golden_branches():
     assert tab.expansions == 6
 
 
+def test_complement_split_tableau_golden():
+    db = basic()
+    tab = build_tableau(deletion_program(db), delete_request(Atom("p")), db.edb)
+    # the child that deletes e also holds a, so both branches below it
+    # close when a clause wants a deleted
+    assert [(b.order, b.closed) for b in tab.branches] == [
+        ((L("p", True), L("a", True), L("q", True)), False),
+        ((L("p", True), L("e", True), L("q", True), L("a", True)), True),
+        ((L("p", True), L("e", True), L("q", True), L("f", True), L("a", True)), True),
+    ]
+    assert Literal(Atom("a")) not in tab.branches[1].literals  # complements are not listed
+    assert (tab.peak_live, tab.expansions) == (2, 6)
+    assert branch_deletions(tab, db.edb) == (atoms("a"),)
+
+
 def raw_cuts(db: Database, goal: Atom) -> tuple[frozenset[Atom], ...]:
     """The stored-fact deletions of the open branches, before the
     put-one-back filter."""
     tableau = build_tableau(deletion_program(db), delete_request(goal))
-    return unique(branch_deletions(b, db.edb) for b in tableau.open())
+    return unique(branch_deletions(tableau, db.edb))
 
 
 def test_raw_candidates_golden():
@@ -189,8 +208,11 @@ def test_transform_rules_rejects_negation():
 
 
 def test_branch_extraction_helpers():
-    branch = Branch((L("p", True), L("a", True), L("c")), closed=False)
-    assert branch_deletions(branch, atoms("a", "e")) == atoms("a")
+    # atom k owns bits 2k (positive) and 2k+1 (negated): not p, not a, c
+    branch = Branch((L("p", True), L("a", True), L("c")), closed=False, held=0b10 | 0b1000 | 0b10000)
+    tableau = Tableau((branch,), 1, 1, (Atom("p"), Atom("a"), Atom("c"), Atom("e")))
+    assert branch_deletions(tableau, atoms("a", "c", "e")) == (atoms("a"),)
+    assert literal_deletions(branch, atoms("a", "c", "e")) == atoms("a")
 
 
 def test_clause_str():
@@ -265,7 +287,11 @@ def _assert_same_tableau(db: Database, goal: Atom) -> None:
         # every field: each branch's order (so its literals) and closed flag, the
         # branch order, peak_live and expansions
         want = scanning_tableau(program, delete_request(goal))
-        assert build_tableau(program, delete_request(goal)) == want, (db.rules, goal)
+        got = build_tableau(program, delete_request(goal))
+        assert got == want, (db.rules, goal)
+        # the masks hold the literals the orders list
+        cuts = tuple(literal_deletions(b, db.edb) for b in want.open())
+        assert branch_deletions(got, db.edb) == cuts, (db.rules, goal)
 
 
 def test_tableau_matches_scanning_oracle_on_chains_and_data():
@@ -360,9 +386,107 @@ def test_negation_keeps_the_put_back_test():
 
 
 def test_chain_deletion_cuts_every_link_quickly():
-    # 16383 open branches with 14 minimal cuts among them; the put-one-back
-    # test on every branch took about 5 s, the subset filter well under 1 s
+    # the raw tableau would have 2^40 open branches with 40 minimal cuts
+    # among them; complement splitting leaves 40
     t0 = time.perf_counter()
-    cuts = deletion_candidates(chain_database(14), Atom("p1"))
+    cuts = deletion_candidates(chain_database(40), Atom("p1"))
     assert time.perf_counter() - t0 < 2.0
-    assert cuts == tuple(atoms("a%d" % i, "b%d" % i) for i in range(1, 15))
+    assert cuts == tuple(atoms("a%d" % i, "b%d" % i) for i in range(1, 41))
+
+
+# --- complement splitting on monotone databases, against the raw tableau ---
+
+MONOTONE = {
+    "plain": GeneratorConfig(acyclic=True),
+    "cyclic": GeneratorConfig(),
+    "denials": GeneratorConfig(constraints=True),
+    "flat": GeneratorConfig(extra_body_vars=0),
+    "dense": GeneratorConfig(view_count=4, base_count=2, max_arity=1, fact_density=0.8),
+}
+
+
+def _derived_views(db: Database) -> list[Atom]:
+    return sorted(a for a in least_model(db) if a.pred in db.view_predicates)
+
+
+def _assert_same_cuts(db: Database, goal: Atom) -> None:
+    """The complement-split cuts are the raw tableau's subset-minimal
+    branch cuts, as sets, and contraction's raw candidates are the minimal
+    hitting sets of the kernels, in their order."""
+    assert db.monotone
+    got = deletion_candidates(db, goal)
+    raw = scanning_tableau(deletion_program(db), delete_request(goal))
+    want = antichain(unique(literal_deletions(b, db.edb) for b in raw.open()))
+    assert len(set(got)) == len(got) and set(got) == set(want), (db.rules, goal)
+    kernels = minimal_hitting_sets(local_explanations(db, goal))
+    assert kernel_change(db, goal, "delete") == tuple(Transaction(frozenset(), k) for k in kernels), (db.rules, goal)
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE))
+def test_complement_split_cuts_match_the_raw_tableau_on_corpora(name):
+    requests = 0
+    for seed in range(600):
+        db = random_database(seed, MONOTONE[name])
+        for goal in _derived_views(db):
+            _assert_same_cuts(db, goal)
+            requests += 1
+    assert requests > 500
+
+
+def test_complement_split_cuts_match_the_raw_tableau_on_chains_and_data():
+    dbs = [chain_database(n) for n in range(1, 12)]
+    dbs += [Database.parse(long_chain_text(n)) for n in range(1, 31)]
+    data = [Database.load(str(p)) for p in sorted(DATA.glob("*.dl"))]
+    dbs += [db for db in data if db.monotone]
+    assert len(dbs) > 41
+    for db in dbs:
+        for goal in _derived_views(db):
+            _assert_same_cuts(db, goal)
+    _assert_same_cuts(Database.parse(long_chain_text(200)), Atom("p0"))
+
+
+def test_complement_split_branches_cover_every_model_of_signed_programs():
+    # a model fixes the sign of every atom; each one agrees with every
+    # literal of some open branch, the complements it holds included
+    rng = random.Random(11)
+    pruned = 0
+    for _ in range(300):
+        names = [Atom("s%d" % i) for i in range(rng.randint(2, 6))]
+        pool = [Literal(a, sign) for a in names for sign in (False, True)]
+        request = Clause(tuple(rng.sample(pool, rng.randint(1, 2))))
+        clauses = [
+            Clause(tuple(rng.sample(pool, rng.randint(0, 3))), tuple(rng.sample(pool, rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        stored = frozenset(a for a in names if rng.random() < 0.5)
+        split = build_tableau(clauses, request, stored)
+        held = [
+            {Literal(split.atoms[k >> 1], bool(k & 1)) for k in range(2 * len(split.atoms)) if b.held >> k & 1}
+            for b in split.open()
+        ]
+        for signs in itertools.product((False, True), repeat=len(names)):
+            model = {Literal(a, sign) for a, sign in zip(names, signs)}
+            if all(not set(c.body) <= model or set(c.head) & model for c in [request] + clauses):
+                assert any(h <= model for h in held), (clauses, request, stored, model)
+        pruned += len(split.open()) < len(build_tableau(clauses, request).open())
+    assert pruned
+
+
+def test_complement_split_chain_tableau_stays_linear():
+    # the raw tableau has 2^n open branches; one split per link keeps
+    # the derived atom, so only the other one can delete a stored fact
+    for n in range(1, 41):
+        db = chain_database(n)
+        tableau = build_tableau(deletion_program(db), delete_request(Atom("p1")), db.edb)
+        assert len(tableau.open()) <= 2 * n + 1, n
+        assert tableau.expansions <= 2 * n + 1, n
+
+
+def test_long_chain_deletion_reads_cuts_off_the_masks():
+    # 1601 open branches of up to 1601 literals: the cuts are read off the
+    # branch masks, with one stored-fact lookup per atom
+    db = Database.parse(long_chain_text(1600))
+    t0 = time.perf_counter()
+    cuts = deletion_candidates(db, Atom("p0"))
+    assert time.perf_counter() - t0 < 1.0
+    assert cuts == tuple(atoms("a%d" % i) for i in range(1601))

@@ -66,7 +66,7 @@ def test_put_back_users_match_their_loops(cfg):
             txs = _random_transactions(db, rng, 6)
             if atom in model:
                 tableau = build_tableau(deletion_program(db), delete_request(atom))
-                cuts = {branch_deletions(b, db.edb) for b in tableau.open()[:20]}
+                cuts = set(branch_deletions(tableau, db.edb)[:20])
                 cuts |= {tx.removals for tx in txs}
                 for cut in sorted(cuts, key=sorted):
                     got = strongly_minimal(db, atom, cut)

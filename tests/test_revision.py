@@ -4,7 +4,7 @@ import time
 
 from hypothesis import assume, given, settings
 
-from vud import lang
+from vud import lang, revision
 from vud.deletion import deletion_candidates
 from vud.insertion import insertion_candidates
 from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
@@ -72,13 +72,35 @@ def test_kernel_insert_is_raw_and_revise_checks_the_goal():
 
 def test_kernel_delete_cuts_every_link_of_a_long_chain():
     # 1024 kernels over a union of 20 facts: a sweep over the 2^20 subsets
-    # takes about 10 s, the transversals well under a tenth of that
+    # takes about 10 s; the cuts come from the complement-split tableau
     t0 = time.perf_counter()
     cuts = kernel_change(chain_database(10), Atom("p1"), "delete")
     assert time.perf_counter() - t0 < 2.0
     expected = [Transaction(frozenset(), atoms("a%d" % i, "b%d" % i)) for i in range(1, 11)]
     assert cuts == tuple(sorted(expected, key=Transaction.rank_key))
     assert [str(min(t.removals)) for t in cuts][:3] == ["a1", "a10", "a2"]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the slow path ran")
+
+
+def test_monotone_contract_takes_the_tableau_cuts(monkeypatch):
+    # 2^40 kernels: no proof tree or transversal family of them finishes
+    monkeypatch.setattr(revision, "local_explanations", _forbidden)
+    monkeypatch.setattr(revision, "minimal_hitting_sets", _forbidden)
+    cuts = contract(chain_database(40), Atom("p1"))
+    expected = [Transaction(frozenset(), atoms("a%d" % i, "b%d" % i)) for i in range(1, 41)]
+    assert cuts == tuple(sorted(expected, key=Transaction.rank_key))
+
+
+def test_contract_has_no_cut_for_an_atom_the_rules_derive_alone():
+    # p needs no stored fact, so no removal deletes it, though the
+    # hitting sets of its kernels {} and {e} are {e}
+    db = Database.parse("p :- eq(a,a).\np :- e.\ne.\n")
+    assert derivable_without_facts(db, Atom("p"))
+    assert kernel_change(db, Atom("p"), "delete") == ()
+    assert contract(db, Atom("p")) == ()
 
 
 def test_kernel_vacuity(basic):

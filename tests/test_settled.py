@@ -20,6 +20,8 @@ from vud.randgen import GeneratorConfig, chain_database, random_database, random
 from vud.revision import contract, revise
 from vud.semantics import check_ic, least_model
 
+from strategies import long_chain_text
+
 DATA = Path(__file__).resolve().parents[1] / "data"
 SEEDS = range(40)
 CONFIGS = {
@@ -28,15 +30,6 @@ CONFIGS = {
     "denials": GeneratorConfig(extra_body_vars=0, constraints=True),
     "cyclic": GeneratorConfig(),
 }
-
-
-def long_chain_text(n: int) -> str:
-    """p0 :- a0, p1.  ...  p(n-1) :- a(n-1), pn.  pn :- an.  with every a_i
-    stored: the propositional chain of the benchmark's chain workload."""
-    lines = ["p%d :- a%d, p%d." % (i, i, i + 1) for i in range(n)]
-    lines.append("p%d :- a%d." % (n, n))
-    lines += ["a%d." % i for i in range(n + 1)]
-    return "\n".join(lines) + "\n"
 
 
 def _update(db: Database, request: UpdateRequest, variant: str) -> tuple:
