@@ -9,7 +9,9 @@ exponent for the peak live count (polynomial test) and a semi-log slope
 for the open branch count (exponential rate).  Beside them it reports the
 open branches and expansions of the complement-split tableau that
 deletion_candidates builds on these monotone databases, with a log-log
-exponent for its open branches (1 is linear).
+exponent for its open branches (1 is linear), and the states the insertion
+world search visits when it inserts p1 into the chain with the last link's
+two facts removed, with a log-log exponent as well.
 """
 
 import argparse
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 sys.path.insert(0, "src")
 
 from vud.deletion import build_tableau, delete_request, deletion_program
-from vud.lang import Atom
+from vud.insertion import insertion_worlds
+from vud.lang import Atom, SearchLog
 from vud.randgen import chain_database
 
 
@@ -41,6 +44,8 @@ class Measurement:
     split_open: int  # of the complement-split tableau
     split_expansions: int
     split_seconds: float
+    insert_states: int  # of the world search inserting p1 without an and bn
+    insert_seconds: float
 
 
 def measure(n: int) -> Measurement:
@@ -51,6 +56,10 @@ def measure(n: int) -> Measurement:
     middle = time.perf_counter()
     split = build_tableau(program, delete_request(Atom("p1")), db.edb)
     end = time.perf_counter()
+    cut = db.with_edb(db.edb - {Atom("a%d" % n), Atom("b%d" % n)})
+    log = SearchLog()
+    insertion_worlds(cut, Atom("p1"), log)
+    inserted = time.perf_counter()
     return Measurement(
         n=n,
         peak_live=tableau.peak_live,
@@ -60,6 +69,8 @@ def measure(n: int) -> Measurement:
         split_open=len(split.open()),
         split_expansions=split.expansions,
         split_seconds=end - middle,
+        insert_states=log.states,
+        insert_seconds=inserted - end,
     )
 
 
@@ -91,11 +102,12 @@ def run(config: GrowthConfig) -> list[Measurement]:
 
 
 def report(rows: list[Measurement]) -> str:
-    header = ("n", "peak_live", "open_branches", "expansions", "seconds", "split_open", "split_expansions", "split_s")
-    lines = ["%4s %10s %14s %12s %9s %11s %17s %9s" % header]
+    header = ("n", "peak_live", "open_branches", "expansions", "seconds", "split_open", "split_expansions", "split_s",
+              "insert_states", "insert_s")
+    lines = ["%4s %10s %14s %12s %9s %11s %17s %9s %14s %9s" % header]
     for r in rows:
         lines.append(
-            "%4d %10d %14d %12d %9.3f %11d %17d %9.3f"
+            "%4d %10d %14d %12d %9.3f %11d %17d %9.3f %14d %9.3f"
             % (
                 r.n,
                 r.peak_live,
@@ -105,6 +117,8 @@ def report(rows: list[Measurement]) -> str:
                 r.split_open,
                 r.split_expansions,
                 r.split_seconds,
+                r.insert_states,
+                r.insert_seconds,
             )
         )
     lines.append("")
@@ -116,6 +130,10 @@ def report(rows: list[Measurement]) -> str:
     lines.append(
         "complement-split open branches: log-log fit exponent %.3f (1 is linear)"
         % polynomial_exponent(rows, lambda r: r.split_open)
+    )
+    lines.append(
+        "insertion world states: log-log fit exponent %.3f (1 is linear)"
+        % polynomial_exponent(rows, lambda r: r.insert_states)
     )
     return "\n".join(lines)
 

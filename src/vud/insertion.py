@@ -14,18 +14,19 @@ folded to two literals.  An added view atom then propagates case by case:
   is removed, by the deletion machinery when it is a view atom.
 
 The search explores these choices breadth first over worlds: transactions
-over view and base atoms, each kept only while consistent.  A finished
-world's base part is a candidate transaction, which is then verified,
-checked against the constraints, and minimised.  Both the world search and
-the verify-and-re-expand search over candidate transactions run on
-lang.breadth_first and draw on the request's SearchLog.  propagation_rules
-displays the same cases as a delta program over +p/-p atoms.
+over view and base atoms, each kept only while consistent, and known
+without the alternative helpers they record, so worlds that chose the same
+base changes by different alternatives are one.  A finished world's base
+part is a candidate transaction, which is then verified, checked against
+the constraints, and minimised.  Both the world search and the
+verify-and-re-expand search over candidate transactions run on
+lang.breadth_first and draw on the request's SearchLog.
 
-The normalised rules depend on the rules alone, so their helper rules and
-definitions are built once per rule set and kept with its compiled program
-(semantics.kept_form), where a changed database finds them again.  The
-world search reads the database's kept model plus the helper atoms, which
-the helper rules alone derive over that model.
+The normalised rules depend on the rules alone, so their helper rules,
+definitions and alternative helpers are built once per rule set and kept
+with its compiled program (semantics.kept_form), where a changed database
+finds them again.  The world search reads the database's kept model plus
+the helper atoms, which the helper rules alone derive over that model.
 
 Derivability checks run on a goal-guarded rewriting of the rules so only
 atoms relevant to the goal are derived.
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .deletion import Clause, deletion_candidates
+from .deletion import deletion_candidates
 from .lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
     is_variable, unique,
@@ -46,14 +47,6 @@ from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_mode
 
 ADD = "+"
 REMOVE = "-"
-
-
-def delta_add(atom: Atom) -> Atom:
-    return Atom(ADD + atom.pred, atom.args)
-
-
-def delta_remove(atom: Atom) -> Atom:
-    return Atom(REMOVE + atom.pred, atom.args)
 
 
 # --- normalisation --------------------------------------------------------
@@ -152,19 +145,33 @@ def view_definitions(rules: Sequence[Rule]) -> dict[str, ViewDefinition]:
     return defs
 
 
-_Form = tuple[tuple[Rule, ...], dict[str, ViewDefinition]]
+class _Form(NamedTuple):
+    """The propagation form of a rule set: the helper rules of the
+    normalised rules (those whose head predicate no rule of the set
+    defines), the definitions of every predicate, views and helpers alike,
+    and the alternative helpers, the _vk in p(X̄) :- _vk(X̄) that stand for
+    one rule of a predicate several rules define."""
+
+    helpers: tuple[Rule, ...]
+    definitions: dict[str, ViewDefinition]
+    alternative_helpers: frozenset[str]
 
 
 def _propagation_form(idb: tuple[Rule, ...], taken: frozenset[str] = frozenset()) -> _Form:
-    """The helper rules of the normalised rules (those whose head predicate
-    no rule of idb defines) and the definitions of every predicate, views
-    and helpers alike, with helper names that skip the taken ones too.
-    Kept per rule set by semantics.kept_form, so it holds no rule of idb:
-    helper rules are new, definitions hold literals."""
+    """The propagation form of idb, with helper names that skip the taken
+    ones too.  Kept per rule set by semantics.kept_form, so it holds no
+    rule of idb: helper rules are new, definitions hold literals."""
     normalized = normalize_rules(idb, taken)
     views = {r.head.pred for r in idb if r.head is not None}
     helpers = tuple(r for r in normalized if r.head is not None and r.head.pred not in views)
-    return helpers, view_definitions(normalized)
+    named = {r.head.pred for r in helpers}
+    # a view's single-subgoal rule over a helper is one of its alternatives:
+    # folding a long body never leaves a view rule with one subgoal
+    alternative_helpers = frozenset(
+        r.body[0].atom.pred for r in normalized
+        if r.head is not None and r.head.pred in views and len(r.body) == 1 and r.body[0].atom.pred in named
+    )
+    return _Form(helpers, view_definitions(normalized), alternative_helpers)
 
 
 def _form(db: Database) -> _Form:
@@ -174,7 +181,7 @@ def _form(db: Database) -> _Form:
     stand in for the helper), db gets the form whose helper names skip its
     base predicates as well, kept beside the first."""
     form = kept_form(db.idb, _propagation_form)
-    if form[1].keys().isdisjoint(db.base_predicates):
+    if form.definitions.keys().isdisjoint(db.base_predicates):
         return form
     return kept_form(db.idb, _propagation_form, db.base_predicates)
 
@@ -184,7 +191,7 @@ def search_model(db: Database) -> frozenset[Atom]:
     atoms, derived by the helper rules alone over it.  Helper rules negate
     only predicates of db and never reach themselves, so this is the model
     of the normalised rules over db's facts."""
-    helpers = _form(db)[0]
+    helpers = _form(db).helpers
     model = least_model(db)
     return fixpoint_model(helpers, model, db.universe()) if helpers else model
 
@@ -200,45 +207,6 @@ def _match(pattern: Atom, ground: Atom) -> dict[str, str] | None:
         elif p != g:
             return None
     return theta
-
-
-# --- the schematic delta program ------------------------------------------
-
-
-def propagation_rules(db: Database) -> tuple[Clause, ...]:
-    """The delta program read off the normalised rules, for display only:
-    +p adds p, -p removes it.  Heads are alternatives (disjunctive), bodies
-    mix the triggering delta, already-stored source atoms, and companion
-    deltas.  The world search in insertion_worlds applies exactly these
-    cases to transactions, instantiating variables outside the rule head
-    jointly over the constants plus a fresh witness.
-    """
-    out: list[Clause] = []
-    for pred, defn in _form(db)[1].items():
-        trigger = Literal(delta_add(defn.head))
-        if len(defn.alternatives) > 1:
-            head = tuple(Literal(delta_add(b[0].atom)) for b in defn.alternatives)
-            out.append(Clause(head, (trigger,)))
-            continue
-        body = defn.alternatives[0]
-        positives = [l for l in body if not l.negated and l.atom.pred != EQ]
-        for lit in body:
-            if lit.atom.pred == EQ:
-                continue
-            others = tuple(o for o in positives if o is not lit)
-            if lit.negated:
-                out.append(Clause((Literal(delta_remove(lit.atom)),), (trigger, lit.complement())))
-            else:
-                out.append(Clause((Literal(delta_add(lit.atom)),), (trigger,) + others))
-                for other in others:
-                    # companion case: both subgoals absent, inserted together
-                    out.append(
-                        Clause(
-                            (Literal(delta_add(lit.atom)),),
-                            (trigger, Literal(delta_add(other.atom))),
-                        )
-                    )
-    return tuple(out)
 
 
 # --- world search ----------------------------------------------------------
@@ -290,6 +258,17 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     world search has no round limit, only the request's state budget: a stop
     there is marked on the log and the worlds finished so far are returned.
 
+    A world is known by its transaction without alternative-helper atoms
+    (_Form.alternative_helpers) and by its pending view changes, and the
+    search drops a world known before.  This loses no world that differs
+    only in those atoms: helpers occur only positively, and removals are
+    negated subgoals or stored-fact cuts, so a helper atom is never
+    removed; and _vk(c̄) is added only by expanding p(c̄), which a world
+    expands at most once.  So two worlds with the same key have the same
+    descendants up to those atoms, and a chain of n two-way links keeps one
+    world per base part instead of 2^n.  Adding a view atom has the same
+    options wherever the search meets it, so they are listed once per atom.
+
     The definitions are those of the propagation form (_form), kept per
     rule set by semantics.kept_form, not on the Database: a copy on every database a
     workload keeps alive costs more memory than rebuilding it saves.  The
@@ -297,13 +276,18 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     """
     if log is None:
         log = SearchLog()
-    defs = _form(db)[1]
+    form = _form(db)
+    defs, alternative_helpers = form.definitions, form.alternative_helpers
     model = search_model(db)
     universe = tuple(sorted(db.universe()))
     # witnesses avoid the goal's constants too, or a goal constant could
     # pass for a fresh one
     names = _unused("new_%d", db.universe() | set(goal.args))
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
+    adds: dict[Atom, list[Transaction]] = {}
+    # the alternative-helper atoms of the options listed so far: every one
+    # a world holds came from such an option, so subtracting these strips them
+    helper_atoms: set[Atom] = set()
 
     Pending = tuple[tuple[str, Atom], ...]  # view changes still to expand
     World = tuple[Transaction, Pending]
@@ -313,6 +297,10 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
         pairs = [(ADD, a) for a in additions] + [(REMOVE, a) for a in removals]
         return tuple(sorted(p for p in pairs if p[1].pred in defs))
 
+    def key(world: World) -> tuple:
+        tx, pending = world
+        return tx.additions - helper_atoms, tx.removals, frozenset(pending)
+
     def step(world: World, depth: int) -> Callable[[], Iterator[World]] | None:
         tx, pending = world
         return (lambda: expand(tx, pending)) if pending else None
@@ -320,7 +308,10 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     def expand(tx: Transaction, pending: Pending) -> Iterator[World]:
         (sign, atom), rest = pending[0], pending[1:]
         if sign == ADD:
-            options = _options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
+            options = adds.get(atom)
+            if options is None:
+                options = adds[atom] = _options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
+                helper_atoms.update(a for o in options for a in o.additions if a.pred in alternative_helpers)
         else:
             options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom, log)]
         for option in options:
@@ -329,10 +320,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
                 yield child, rest + views(option.additions - tx.additions, option.removals - tx.removals)
 
     seed = Transaction(frozenset({goal}))
-    finished = breadth_first(
-        [(seed, views(seed.additions, seed.removals))], step, log,
-        key=lambda w: (w[0], frozenset(w[1])), rounds=None,
-    )
+    finished = breadth_first([(seed, views(seed.additions, seed.removals))], step, log, key=key, rounds=None)
     return tuple(tx for tx, _ in finished)
 
 

@@ -42,8 +42,9 @@ def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction
     member, so candidates are the minimal hitting sets of the kernel
     family.  On a monotone database (Database.monotone) those are the
     minimal cuts, taken from deletion_candidates' complement-split
-    tableau and put in the hitting sets' order; an atom the rules derive
-    with no fact stored has none.
+    tableau and put in the hitting sets' order.  An atom the rules derive
+    with no fact stored has an empty kernel and no cut, with negation or
+    without.
 
     Inserting: one missing support set must be stored whole, so each
     minimal member is a candidate, even one that misses the goal once
@@ -56,7 +57,8 @@ def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction
         if db.monotone:
             cuts = minimal_members(deletion_candidates(db, atom))
         else:
-            cuts = minimal_hitting_sets(local_explanations(db, atom))
+            kernels = local_explanations(db, atom)
+            cuts = () if frozenset() in kernels else minimal_hitting_sets(kernels)
         return tuple(Transaction(frozenset(), cut) for cut in cuts)
     if operation == "insert":
         if atom in model:

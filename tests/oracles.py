@@ -26,18 +26,29 @@ vud.semantics.RuleInstances listed only the atoms a tree selects: the whole
 ground program, grouped by head.  normalized_model is the model the
 insertion world search computed before it read the database's kept model:
 the whole normalised program evaluated from the stored facts.
+whole_key_worlds is the insertion world search before it knew a world
+without its alternative-helper atoms: every world keyed by its whole
+transaction, and the options of a view atom listed on every expansion.
+propagation_rules, with delta_add and delta_remove, displays the cases of
+the world search as a delta program over +p/-p atoms; no production code
+reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from vud.deletion import Branch, Clause, Tableau, transform_rules
 from vud.explain import local_explanations
-from vud.insertion import derivable, normalize_rules
-from vud.lang import EQ, Atom, Database, Literal, Rule, Transaction, ground_program, is_variable, stratify
+from vud import insertion
+from vud.deletion import deletion_candidates
+from vud.insertion import ADD, REMOVE, derivable, normalize_rules
+from vud.lang import (
+    EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, breadth_first, ground_program, is_variable,
+    stratify,
+)
 from vud.semantics import check_ic, fixpoint_model, least_model, reduct
 
 
@@ -598,3 +609,87 @@ def normalized_model(db: Database) -> frozenset[Atom]:
     """Model of the normalised rules over the stored facts, helper atoms
     included, evaluated from scratch."""
     return fixpoint_model(normalize_rules(db.idb), db.edb, db.universe())
+
+
+def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> tuple[Transaction, ...]:
+    """vud.insertion.insertion_worlds as it was before worlds that differ
+    only in alternative-helper atoms were merged: a world is known by its
+    whole transaction and its pending view changes, and the options of a
+    view atom are listed again on every expansion."""
+    if log is None:
+        log = SearchLog()
+    defs = insertion._form(db).definitions
+    model = insertion.search_model(db)
+    universe = tuple(sorted(db.universe()))
+    names = insertion._unused("new_%d", db.universe() | set(goal.args))
+    fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
+
+    def views(additions: frozenset[Atom], removals: frozenset[Atom]) -> tuple[tuple[str, Atom], ...]:
+        pairs = [(ADD, a) for a in additions] + [(REMOVE, a) for a in removals]
+        return tuple(sorted(p for p in pairs if p[1].pred in defs))
+
+    def step(world, depth: int) -> Callable[[], Iterator] | None:
+        tx, pending = world
+        return (lambda: expand(tx, pending)) if pending else None
+
+    def expand(tx: Transaction, pending) -> Iterator:
+        (sign, atom), rest = pending[0], pending[1:]
+        if sign == ADD:
+            options = insertion._options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
+        else:
+            options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom, log)]
+        for option in options:
+            child = tx.merge(option)
+            if child.consistent:
+                yield child, rest + views(option.additions - tx.additions, option.removals - tx.removals)
+
+    seed = Transaction(frozenset({goal}))
+    finished = breadth_first(
+        [(seed, views(seed.additions, seed.removals))], step, log,
+        key=lambda w: (w[0], frozenset(w[1])), rounds=None,
+    )
+    return tuple(tx for tx, _ in finished)
+
+
+def delta_add(atom: Atom) -> Atom:
+    return Atom(ADD + atom.pred, atom.args)
+
+
+def delta_remove(atom: Atom) -> Atom:
+    return Atom(REMOVE + atom.pred, atom.args)
+
+
+def propagation_rules(db: Database) -> tuple[Clause, ...]:
+    """The delta program read off the normalised rules, for display only:
+    +p adds p, -p removes it.  Heads are alternatives (disjunctive), bodies
+    mix the triggering delta, already-stored source atoms, and companion
+    deltas.  The world search in vud.insertion.insertion_worlds applies
+    exactly these cases to transactions, instantiating variables outside
+    the rule head jointly over the constants plus a fresh witness.
+    """
+    out: list[Clause] = []
+    for pred, defn in insertion._form(db).definitions.items():
+        trigger = Literal(delta_add(defn.head))
+        if len(defn.alternatives) > 1:
+            head = tuple(Literal(delta_add(b[0].atom)) for b in defn.alternatives)
+            out.append(Clause(head, (trigger,)))
+            continue
+        body = defn.alternatives[0]
+        positives = [l for l in body if not l.negated and l.atom.pred != EQ]
+        for lit in body:
+            if lit.atom.pred == EQ:
+                continue
+            others = tuple(o for o in positives if o is not lit)
+            if lit.negated:
+                out.append(Clause((Literal(delta_remove(lit.atom)),), (trigger, lit.complement())))
+            else:
+                out.append(Clause((Literal(delta_add(lit.atom)),), (trigger,) + others))
+                for other in others:
+                    # companion case: both subgoals absent, inserted together
+                    out.append(
+                        Clause(
+                            (Literal(delta_add(lit.atom)),),
+                            (trigger, Literal(delta_add(other.atom))),
+                        )
+                    )
+    return tuple(out)

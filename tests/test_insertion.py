@@ -10,11 +10,9 @@ import weakref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vud import insertion
+from vud import engine, insertion
 from vud.engine import UpdateRequest, view_update
 from vud.insertion import (
-    delta_add,
-    delta_remove,
     derivable,
     guard_atom,
     insertion_candidates,
@@ -22,17 +20,18 @@ from vud.insertion import (
     magic_program,
     magic_query,
     normalize_rules,
-    propagation_rules,
     search_model,
     view_definitions,
 )
-from vud.lang import Atom, Database, Transaction, parse_program
+from vud.lang import Atom, Database, SearchLog, Transaction, parse_program
 from vud.randgen import GeneratorConfig, chain_database, random_database
 from vud.semantics import check_ic, fixpoint_model, kept_form, least_model
 
 import pytest
 
-from oracles import brute_transactions, normalized_model
+from oracles import (
+    brute_transactions, delta_add, delta_remove, normalized_model, propagation_rules, whole_key_worlds,
+)
 from strategies import dbs_with_underivable_goal, positive_dbs, view_goals
 
 
@@ -208,7 +207,9 @@ def test_propagation_rules_alternatives_split(basic):
 def test_insertion_worlds_basic():
     db = Database.load("data/basic.dl").with_edb(atoms("e", "f"))
     worlds = insertion_worlds(db, Atom("p"))
-    assert len(worlds) == 5
+    # +_v3, +a, +p, +q differs from +a, +p, +q only in the alternative
+    # helper _v3, so the search keeps the world it reached first
+    assert len(worlds) == 4
     assert all(Atom("p") in w.additions and w.consistent for w in worlds)
     base = ("a", "b")
     base_parts = sorted(
@@ -216,7 +217,8 @@ def test_insertion_worlds_basic():
                         frozenset(a for a in w.removals if a.pred in base)))
         for w in worlds
     )
-    assert base_parts == ["+a", "+a", "+a", "+b", "+b"]
+    assert base_parts == ["+a", "+a", "+b", "+b"]
+    assert len(whole_key_worlds(db, Atom("p"))) == 5
 
 
 def _absent_view_atoms(db: Database, limit: int = 5) -> list[Atom]:
@@ -264,6 +266,37 @@ SEARCH_MODEL_CORPORA = {
 }
 
 
+def _world_answers(db: Database, goal: Atom) -> tuple:
+    """The base parts of the worlds, in order, and the candidates with
+    their log's exhausted flag."""
+    log = SearchLog()
+    return (insertion._world_transactions(db, goal, SearchLog()),
+            insertion_candidates(db, goal, log=log), log.exhausted)
+
+
+@pytest.mark.parametrize("corpus", sorted(SEARCH_MODEL_CORPORA) + ["examples"])
+def test_worlds_merged_below_alternative_helpers_give_the_whole_key_answers(corpus, monkeypatch):
+    """Merging worlds that differ only in alternative-helper atoms keeps
+    the base parts, their order, the candidates and the exhausted flag of
+    the search that keys every world by its whole transaction."""
+    if corpus == "examples":
+        dbs = [Database.load(p) for p in sorted(glob.glob("data/*.dl"))]
+        dbs += [chain_database(n) for n in range(1, 7)]
+        for cfg in (GeneratorConfig(), GeneratorConfig(negation=True, constraints=True)):
+            dbs += [random_database(seed, cfg) for seed in range(40)]
+    else:
+        dbs = [random_database(seed, SEARCH_MODEL_CORPORA[corpus]) for seed in range(200)]
+    requests = 0
+    for db in dbs:
+        for goal in _absent_view_atoms(db):
+            requests += 1
+            merged = _world_answers(db, goal)
+            with monkeypatch.context() as m:
+                m.setattr(insertion, "insertion_worlds", whole_key_worlds)
+                assert merged == _world_answers(db, goal), (db, goal)
+    assert requests
+
+
 @pytest.mark.parametrize("corpus", sorted(SEARCH_MODEL_CORPORA) + ["examples"])
 def test_search_model_is_the_normalized_model(corpus):
     """The world search's model, the kept model plus the helper atoms the
@@ -308,11 +341,42 @@ def test_propagation_form_is_built_once_per_rule_set(monkeypatch):
 def test_kept_propagation_form_goes_with_its_database(path, goal):
     db = Database.parse(HELPER_NAMED_TEXT) if path is None else Database.load(path)
     assert insertion_candidates(db, goal)
-    helpers = kept_form(db.idb, insertion._propagation_form)[0]
+    helpers = kept_form(db.idb, insertion._propagation_form).helpers
     refs = [weakref.ref(r) for r in db.idb + helpers]
     del db, helpers
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_alternative_helpers_are_kept_with_the_form(basic):
+    # p and q each have several rules; a folded long body's helper is no
+    # alternative
+    assert insertion._form(basic).alternative_helpers == {"_v1", "_v2", "_v3", "_v4"}
+    folded = Database.parse(HELPER_NAMED_TEXT.replace("_v1", "w"))
+    assert [r.head.pred for r in insertion._form(folded).helpers] == ["_v1"]
+    assert insertion._form(folded).alternative_helpers == frozenset()
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_chain_insert_visits_states_linear_in_the_chain(n, monkeypatch):
+    """Inserting p1 into a two-support chain whose last link lost both
+    facts: the worlds that chose a or b at the links differ only in their
+    alternative helpers, so the request visits O(n) states, not 2^n."""
+    logs: list[SearchLog] = []
+
+    class RecordedLog(SearchLog):
+        def __init__(self) -> None:
+            super().__init__()
+            logs.append(self)
+
+    monkeypatch.setattr(engine, "SearchLog", RecordedLog)
+    db = chain_database(n)
+    db = db.with_edb(db.edb - atoms("a%d" % n, "b%d" % n))
+    result = view_update(db, UpdateRequest(inserts=(Atom("p1"),)))
+    assert [str(t) for t in result.alternatives] == ["+a%d" % n, "+b%d" % n]
+    assert not result.exhausted
+    (log,) = logs
+    assert log.states <= 4 * n
 
 
 # --- candidate transactions --------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 
 from vud import lang, revision
 from vud.deletion import deletion_candidates
+from vud.engine import UnrealizableError, UpdateRequest, view_update
+from vud.explain import local_explanations
 from vud.insertion import insertion_candidates
 from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
 from vud.randgen import chain_database
@@ -101,6 +103,18 @@ def test_contract_has_no_cut_for_an_atom_the_rules_derive_alone():
     assert derivable_without_facts(db, Atom("p"))
     assert kernel_change(db, Atom("p"), "delete") == ()
     assert contract(db, Atom("p")) == ()
+
+
+def test_non_monotone_kernel_has_no_cut_for_an_atom_the_rules_derive_alone():
+    # the negated subgoal sends the delete past the tableau to the hitting
+    # sets of the kernels {} and {e}, whose cut -e leaves p derivable
+    db = Database.parse("p :- eq(a,a).\np :- e, not f.\ne.\n")
+    assert not db.monotone
+    assert local_explanations(db, Atom("p")) == (frozenset(), atoms("e"))
+    assert kernel_change(db, Atom("p"), "delete") == ()
+    assert contract(db, Atom("p")) == ()
+    with pytest.raises(UnrealizableError):
+        view_update(db, UpdateRequest(deletes=(Atom("p"),)))
 
 
 def test_kernel_vacuity(basic):
