@@ -10,14 +10,14 @@ goals that interact (one goal's change breaking another) are still solved;
 constraint violations go through the repair search.
 
 All of these searches run on lang.breadth_first and draw on the request's
-one SearchLog: MAX_STATES states for the whole request, and MAX_ROUNDS
-rounds per search.  A search that reaches a limit returns what it has and
-marks the log, which ends up as the exhausted flag on the result or the
-error.  If nothing survives, the request is unrealizable and the error
-carries a trace of what was tried.  The same log keeps the changed
-databases the request reaches, so each is built, and its model computed,
-once per request, whether a search, the verifying step or the postulate
-audit asks for it.
+one SearchLog: MAX_STATES states for the whole request, the one limit.
+The log fixes the constants every insertion search ranges over, so each
+search ends by itself or there, returning what it has and marking the
+log, which ends up as the exhausted flag on the result or the error.  If nothing survives, the
+request is unrealizable and the error carries a trace of what was tried.
+The same log keeps the changed databases the request reaches, so each is
+built, and its model computed, once per request, whether a search, the
+verifying step or the postulate audit asks for it.
 
 Two variants: "minimal" filters each family and the final alternatives
 down to an antichain of smallest changes; "materialized" runs deletions on
@@ -41,7 +41,7 @@ from .deletion import (
 )
 from .insertion import insertion_candidates
 from .lang import (
-    MAX_ROUNDS, MAX_STATES, Atom, Database, SearchLog, Transaction, antichain,
+    MAX_STATES, Atom, Database, SearchLog, Transaction, antichain,
     breadth_first, check_goal, unique,
 )
 from .revision import rationality_report, repair_constraints
@@ -149,13 +149,13 @@ def view_update(
     Combinations of the goals' candidate families are searched breadth
     first; one that misses a goal or breaks a constraint (deletions alone
     cannot where semantics.removals_settled holds) is merged with the goal's
-    family or the repairs of its own result, for up to MAX_ROUNDS rounds.
-    Every search the request starts shares one SearchLog, so MAX_STATES
-    bounds the request as a whole.  Every change the request applies goes
-    through the same log, so a changed database the request reaches again
-    (in a search, the verifying step or the audit) is the same instance,
-    with its model; the result's database is the verified instance, its
-    model computed, and the log is dropped on return.  Raises
+    family or the repairs of its own result.  Every search the request
+    starts shares one SearchLog, so MAX_STATES bounds the request as a
+    whole; the log's constants are db's plus every goal's.  Every change the
+    request applies goes through the same log, so a changed database the
+    request reaches again (in a search, the verifying step or the audit) is
+    the same instance, with its model; the result's database is the
+    verified instance, its model computed, and the log is dropped on return.  Raises
     UnrealizableError when nothing survives, with a trace of the failed
     attempts, and ValueError for a goal that lang.check_goal rejects.
     """
@@ -172,6 +172,7 @@ def view_update(
 
     minimality = variant == "minimal"
     log = SearchLog()
+    log.fix_constants(db, (goal for _, goal in request.goals))
     trace: list[str] = []
 
     def note(line: str) -> None:
@@ -232,8 +233,7 @@ def view_update(
     verified = breadth_first(combinations(), (lambda *_: None) if settled else step, log)
     if not verified:
         if log.exhausted:
-            note("the search budget ran out: %d states per request or %d rounds per search"
-                 % (MAX_STATES, MAX_ROUNDS))
+            note("the search budget ran out: %d states per request" % MAX_STATES)
         if all(families) and next(combinations(), None) is None:
             note("all combined candidates were self-contradictory")
         message = "cannot realise %s" % request

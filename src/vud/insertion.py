@@ -9,9 +9,11 @@ folded to two literals.  An added view atom then propagates case by case:
   adding p for an alternative-defined predicate splits into one child per
   alternative; adding p for a conjunctive rule adds every subgoal not
   already true, with body variables outside the head instantiated jointly
-  over the known constants, or over one fresh witness constant per rule
-  when no stored source can bind them; a subgoal that must become false
-  is removed, by the deletion machinery when it is a view atom.
+  over the request's constants (SearchLog.fix_constants), or over one
+  witness per alternative, named past them, when no stored source can bind
+  them; a subgoal that must become false is removed, by the deletion
+  machinery when it is a view atom.  A witness is thus the same constant in
+  every search of the request, and the searches draw from one finite set.
 
 The search explores these choices breadth first over worlds: transactions
 over view and base atoms, each kept only while consistent, and known
@@ -254,9 +256,9 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     """Finished worlds for inserting goal, breadth first.
 
     A world is a consistent change to view and base atoms with every view
-    change expanded away; its base part is a candidate transaction.  A
-    world search has no round limit, only the request's state budget: a stop
-    there is marked on the log and the worlds finished so far are returned.
+    change expanded away; its base part is a candidate transaction.  A log
+    without constants gets db's and goal's.  A stop at the request's state
+    budget is marked on the log and the worlds finished so far are returned.
 
     A world is known by its transaction without alternative-helper atoms
     (_Form.alternative_helpers) and by its pending view changes, and the
@@ -269,20 +271,16 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     world per base part instead of 2^n.  Adding a view atom has the same
     options wherever the search meets it, so they are listed once per atom.
 
-    The definitions are those of the propagation form (_form), kept per
-    rule set by semantics.kept_form, not on the Database: a copy on every database a
-    workload keeps alive costs more memory than rebuilding it saves.  The
-    model is search_model(db), the kept model plus the helper atoms.
+    Definitions come from _form, kept per rule set, not on the Database,
+    where every live copy would cost more memory than a rebuild saves.
     """
     if log is None:
         log = SearchLog()
     form = _form(db)
     defs, alternative_helpers = form.definitions, form.alternative_helpers
     model = search_model(db)
-    universe = tuple(sorted(db.universe()))
-    # witnesses avoid the goal's constants too, or a goal constant could
-    # pass for a fresh one
-    names = _unused("new_%d", db.universe() | set(goal.args))
+    universe = tuple(sorted(log.fix_constants(db, (goal,))))
+    names = _unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
     adds: dict[Atom, list[Transaction]] = {}
     # the alternative-helper atoms of the options listed so far: every one
@@ -320,7 +318,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
                 yield child, rest + views(option.additions - tx.additions, option.removals - tx.removals)
 
     seed = Transaction(frozenset({goal}))
-    finished = breadth_first([(seed, views(seed.additions, seed.removals))], step, log, key=key, rounds=None)
+    finished = breadth_first([(seed, views(seed.additions, seed.removals))], step, log, key=key)
     return tuple(tx for tx, _ in finished)
 
 
@@ -384,10 +382,10 @@ def insertion_candidates(
     subgoal's change can knock out support another subgoal leaned on
     (through negation) or trip a constraint.  Candidates that come back
     from verification short are therefore rerun against the database they
-    produced and merged with the outcome, for up to MAX_ROUNDS rounds of
-    the shared breadth-first search, before the survivors are ranked.
+    produced, on the request's constants and witnesses, and merged with the
+    outcome in the shared breadth-first search before the survivors rank.
 
-    Transactions confined to the known constants are preferred: witness
+    Transactions confined to the request's constants are preferred: witness
     constants (new_1, ...) survive only when nothing else works.  With
     minimality on, a transaction any single change of which could be undone
     is dropped as padded.
@@ -407,8 +405,7 @@ def insertion_candidates(
         return None
 
     txs = breadth_first(_world_transactions(db, atom, log), step, log)
-    known = db.universe() | set(atom.args)
-    grounded = [t for t in txs if all(set(a.args) <= known for a in t.additions)]
+    grounded = [t for t in txs if all(log.constants.issuperset(a.args) for a in t.additions)]
     if grounded:
         txs = grounded
     txs = antichain(txs)

@@ -203,19 +203,16 @@ def unique(items: Iterable[T]) -> tuple[T, ...]:
 
 # --- breadth-first search -----------------------------------------------------
 
-# Limits of the update searches: states visited per request, over all its
-# searches, and rounds of expansion (the depth below which a state may be
-# expanded) per search.
+# The one limit of the update searches: states per request, all its searches.
 MAX_STATES = 20000
-MAX_ROUNDS = 8
 
 
 @dataclass
 class SearchLog:
     """What one request keeps while it runs: its search budget (the states
-    its searches have visited, and how many of them a limit stopped with
-    work left) and the changed databases its checks reach.  A stopped
-    search's answer may be incomplete, and an empty one proves nothing.
+    its searches have visited, and how many of them the limit stopped with
+    work left), its constants and the changed databases its checks reach.
+    A stopped search's answer may be incomplete, an empty one proves nothing.
 
     The log goes when the request returns; no result, error or Database
     refers to it, so nothing it keeps outlives the request.
@@ -223,11 +220,19 @@ class SearchLog:
 
     states: int = 0
     stops: int = 0
+    constants: frozenset[str] | None = field(default=None, repr=False, compare=False)
     databases: dict[frozenset[Atom], "Database"] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def exhausted(self) -> bool:
         return self.stops > 0
+
+    def fix_constants(self, db: "Database", goals: Iterable[Atom]) -> frozenset[str]:
+        """The request's constants, db's plus the goals' arguments, as the
+        first call fixes them: a witness a search stores stays a witness."""
+        if self.constants is None:
+            self.constants = db.universe().union(*(g.args for g in goals))
+        return self.constants
 
     def changed(self, db: "Database", facts: frozenset[Atom]) -> "Database":
         """db.with_edb(facts), made once per fact set: the request checks
@@ -246,15 +251,14 @@ def breadth_first(
     step: Callable[[T, int], Callable[[], Iterable[T]] | None],
     log: SearchLog,
     key: Callable[[T], Hashable] = lambda state: state,
-    rounds: int | None = MAX_ROUNDS,
 ) -> list[T]:
     """Finished states of a breadth-first search, in the order reached.
 
     step(state, depth) returns None for a finished state, else a function
-    listing its children, called only when depth is below rounds.  States
-    whose key was seen before are dropped.  Each visited state counts on
-    log.states, which every search of the request shares, and the search
-    stops once that count reaches MAX_STATES.
+    listing its children; depth counts the expansions from the seed.
+    States whose key was seen before are dropped.  Each visited state
+    counts on log.states, which every search of the request shares, and
+    the search stops once that count reaches MAX_STATES.
     """
     queue: deque[tuple[T, int]] = deque()
     visited: set[Hashable] = set()
@@ -279,8 +283,6 @@ def breadth_first(
         children = step(state, depth)
         if children is None:
             found.append(state)
-        elif rounds is not None and depth >= rounds:
-            log.stops += 1
         else:
             for child in children():
                 push(child, depth + 1)

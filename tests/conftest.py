@@ -16,29 +16,12 @@ settings.register_profile(
 settings.load_profile("vud")
 
 
-# A random program (three constants, body-only variables, view cycles) on
-# which inserting v3(b,a) runs the request's searches into MAX_STATES.
-BUDGET_PROBE_TEXT = """\
-v1 :- v1, e2(b,a).
-v1 :- e2(Y1,a), e4(Y1,c).
-v2(X1,b) :- e1(b), e3(c,X1).
-v3(b,X2) :- e3(X2,Y1), v3(a,c), not v1.
-v3(b,X2) :- e2(Y1,a), v3(b,Y1), e2(a,X2), not e3(b,X2).
-v4 :- v1, not e4(b,a).
-e2(a,b).
-e2(a,c).
-e2(c,a).
-e2(c,b).
-e2(c,c).
-e3(a,a).
-e3(b,a).
-e4(a,b).
-e4(b,a).
-e4(b,b).
-e4(c,a).
-e4(c,b).
-:- e2(b,b).
-"""
+# A program on which inserting v3(b,a) runs the world search into
+# MAX_STATES: v3(b,a) needs every one of c1, ..., c15, each of which has
+# two ways in, so the worlds double with every subgoal, 2^15 base parts.
+BUDGET_PROBE_TEXT = "v3(b,a) :- %s.\n" % ", ".join("c%d" % i for i in range(1, 16)) + "".join(
+    "c%d :- x%d.\nc%d :- y%d.\n" % (i, i, i, i) for i in range(1, 16)
+)
 
 
 @pytest.fixture

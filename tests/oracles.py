@@ -28,7 +28,10 @@ insertion world search computed before it read the database's kept model:
 the whole normalised program evaluated from the stored facts.
 whole_key_worlds is the insertion world search before it knew a world
 without its alternative-helper atoms: every world keyed by its whole
-transaction, and the options of a view atom listed on every expansion.
+transaction, and the options of a view atom listed on every expansion; it
+takes the request's constants and witnesses as the production search
+does.  base_atoms lists the candidate pool brute_transactions searches:
+every base atom over a given set of constants.
 propagation_rules, with delta_add and delta_remove, displays the cases of
 the world search as a delta program over +p/-p atoms; no production code
 reads it.
@@ -109,9 +112,12 @@ def _peel_strata(rules: Sequence[Rule]) -> list[set[str]]:
     return strata
 
 
-def naive_model(rules: Sequence[Rule], facts: Iterable[Atom]) -> frozenset[Atom]:
+def naive_model(
+    rules: Sequence[Rule], facts: Iterable[Atom], grounded: dict[tuple[str, ...], list[Rule]] | None = None,
+) -> frozenset[Atom]:
     """Perfect model by naive repeated application of all ground rules,
-    one peeled stratum at a time."""
+    one peeled stratum at a time.  grounded, when given, keeps the ground
+    rules per constant set for later calls on the same rules."""
     rules = [r for r in rules if r.head is not None and r.body]
     consts: set[str] = set()
     for r in rules:
@@ -120,9 +126,11 @@ def naive_model(rules: Sequence[Rule], facts: Iterable[Atom]) -> frozenset[Atom]
                 consts.update(t for t in a.args if not is_variable(t))
     for a in facts:
         consts.update(a.args)
-    ground: list[Rule] = []
-    for r in rules:
-        ground.extend(_ground_instances(r, sorted(consts)))
+    key = tuple(sorted(consts))
+    grounded = {} if grounded is None else grounded
+    if key not in grounded:
+        grounded[key] = [g for r in rules for g in _ground_instances(r, key)]
+    ground = grounded[key]
     model = set(facts)
     for stratum in _peel_strata(rules):
         while True:
@@ -383,10 +391,11 @@ def brute_transactions(
                 for dels in itertools.combinations(dels_pool, nd):
                     combos.append((frozenset(adds), frozenset(dels)))
     combos.sort(key=lambda p: (len(p[0]) + len(p[1]), sorted(p[0]), sorted(p[1])))
+    grounded: dict[tuple[str, ...], list[Rule]] = {}
     for adds, dels in combos:
         if any(a <= adds and d <= dels for a, d in found):
             continue
-        model = naive_model(idb, (edb | adds) - dels)
+        model = naive_model(idb, (edb | adds) - dels, grounded)
         if not all(a in model for a in inserts):
             continue
         if any(a in model for a in deletes):
@@ -395,6 +404,17 @@ def brute_transactions(
             continue
         found.append((adds, dels))
     return found
+
+
+def base_atoms(db: Database, constants: Iterable[str]) -> list[Atom]:
+    """Every atom of db's base predicates over the constants, a candidate
+    pool for brute_transactions."""
+    consts = sorted(constants)
+    return [
+        Atom(pred, args)
+        for pred in sorted(db.base_predicates)
+        for args in itertools.product(consts, repeat=db.arities[pred])
+    ]
 
 
 def _ground_ics(ic: Sequence[Rule], model: frozenset[Atom], extra: frozenset[Atom]) -> list[Rule]:
@@ -615,13 +635,14 @@ def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     """vud.insertion.insertion_worlds as it was before worlds that differ
     only in alternative-helper atoms were merged: a world is known by its
     whole transaction and its pending view changes, and the options of a
-    view atom are listed again on every expansion."""
+    view atom are listed again on every expansion.  Constants and witness
+    names are the request's, taken as insertion_worlds takes them."""
     if log is None:
         log = SearchLog()
     defs = insertion._form(db).definitions
     model = insertion.search_model(db)
-    universe = tuple(sorted(db.universe()))
-    names = insertion._unused("new_%d", db.universe() | set(goal.args))
+    universe = tuple(sorted(log.fix_constants(db, (goal,))))
+    names = insertion._unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
 
     def views(additions: frozenset[Atom], removals: frozenset[Atom]) -> tuple[tuple[str, Atom], ...]:
@@ -646,7 +667,7 @@ def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     seed = Transaction(frozenset({goal}))
     finished = breadth_first(
         [(seed, views(seed.additions, seed.removals))], step, log,
-        key=lambda w: (w[0], frozenset(w[1])), rounds=None,
+        key=lambda w: (w[0], frozenset(w[1])),
     )
     return tuple(tx for tx, _ in finished)
 

@@ -10,6 +10,7 @@ from vud.semantics import check_ic, least_model
 
 import pytest
 
+from oracles import base_atoms, brute_transactions
 from strategies import dbs_with_derivable_goal, dbs_with_underivable_goal
 
 
@@ -133,6 +134,45 @@ def test_exhausted_search_stays_within_one_state_budget(budget_probe_text, searc
     assert err.value.exhausted
     assert len(search_steps) > 1
     assert sum(search_steps) <= lang.MAX_STATES
+
+
+# A random program (three constants, body-only variables, view cycles) on
+# which inserting v3(b,a) once ran every search into the state budget,
+# because each rerun minted a new witness constant.
+CYCLIC_PROBE_TEXT = """\
+v1 :- v1, e2(b,a).
+v1 :- e2(Y1,a), e4(Y1,c).
+v2(X1,b) :- e1(b), e3(c,X1).
+v3(b,X2) :- e3(X2,Y1), v3(a,c), not v1.
+v3(b,X2) :- e2(Y1,a), v3(b,Y1), e2(a,X2), not e3(b,X2).
+v4 :- v1, not e4(b,a).
+e2(a,b).
+e2(a,c).
+e2(c,a).
+e2(c,b).
+e2(c,c).
+e3(a,a).
+e3(b,a).
+e4(a,b).
+e4(b,a).
+e4(b,b).
+e4(c,a).
+e4(c,b).
+:- e2(b,b).
+"""
+
+
+def test_reruns_on_the_request_constants_end_unexhausted():
+    db = Database.parse(CYCLIC_PROBE_TEXT)
+    goal = Atom("v3", ("b", "a"))
+    with pytest.raises(UnrealizableError) as err:
+        view_update(db, UpdateRequest(inserts=(goal,)))
+    assert not err.value.exhausted
+    assert str(err.value).splitlines()[0] == "cannot realise +v3(b,a)"
+    # no change of up to three base atoms over the constants and one fresh
+    # one realises it either
+    pool = base_atoms(db, db.universe() | {"new_1"})
+    assert brute_transactions(db.idb, db.ic, db.edb, pool, inserts=[goal], max_change=3) == []
 
 
 def test_state_budget_bounds_the_request_not_each_search(monkeypatch, search_steps):

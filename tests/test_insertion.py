@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vud import engine, insertion
-from vud.engine import UpdateRequest, view_update
+from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.insertion import (
     derivable,
     guard_atom,
@@ -24,13 +24,14 @@ from vud.insertion import (
     view_definitions,
 )
 from vud.lang import Atom, Database, SearchLog, Transaction, parse_program
-from vud.randgen import GeneratorConfig, chain_database, random_database
+from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
 from vud.semantics import check_ic, fixpoint_model, kept_form, least_model
 
 import pytest
 
 from oracles import (
-    brute_transactions, delta_add, delta_remove, normalized_model, propagation_rules, whole_key_worlds,
+    base_atoms, brute_transactions, delta_add, delta_remove, normalized_model, propagation_rules,
+    whole_key_worlds,
 )
 from strategies import dbs_with_underivable_goal, positive_dbs, view_goals
 
@@ -554,3 +555,91 @@ def test_witnesses_avoid_the_goal_constants():
         assert insertion_candidates(db, goal) == (
             Transaction(frozenset({Atom("e", (x, "b"))}), frozenset()),
         )
+
+
+
+# --- the request's constants --------------------------------------------------
+
+
+def test_a_world_search_keeps_the_request_constants_and_witnesses():
+    # the second search runs on the database the first one's world
+    # produced, where new_1 is stored; on the same log it is still the
+    # witness, not a known constant that mints new_2
+    db = Database.parse("v(X) :- e(X,Y).\n")
+    log = SearchLog()
+    first = insertion._world_transactions(db, Atom("v", ("c",)), log)
+    assert first == (Transaction(frozenset({Atom("e", ("c", "new_1"))}), frozenset()),)
+    assert log.constants == {"c"}
+    after = first[0].apply(db, log)
+    again = insertion._world_transactions(after, Atom("v", ("d",)), log)
+    assert again == (Transaction(frozenset({Atom("e", ("d", "new_1"))}), frozenset()),)
+    assert log.constants == {"c"}
+    # a fresh log takes the changed database's constants, new_1 among
+    # them, and names its witness past them
+    fresh = SearchLog()
+    assert insertion._world_transactions(after, Atom("v", ("d",)), fresh) == (
+        Transaction(frozenset({Atom("e", ("d", "new_2"))}), frozenset()),
+    )
+    assert fresh.constants == {"c", "d", "new_1"}
+
+
+def test_reruns_realise_what_fresh_witnesses_ran_out_of_budget_on():
+    # the one candidate comes back short and is rerun; reruns that minted
+    # a new witness each time used up the state budget before it verified
+    db = random_database(80, GeneratorConfig(extra_body_vars=1, constant_count=2))
+    result = view_update(db, UpdateRequest(inserts=(Atom("v3", ("a", "b")),)))
+    assert result.alternatives == (Transaction(frozenset({Atom("e2", ("b",))}), frozenset()),)
+    assert not result.exhausted
+
+
+def test_one_change_is_one_alternative_whatever_its_witness():
+    # a rerun that named the same witness new_6 listed this change twice
+    db = random_database(119, GeneratorConfig(extra_body_vars=1, negation=True))
+    result = view_update(db, UpdateRequest(inserts=(Atom("v2"),)))
+    assert result.alternatives == (
+        Transaction(frozenset({Atom("e2", ("c", "new_4")), Atom("e4", ("b",))}), frozenset()),
+    )
+    assert not result.exhausted
+
+
+
+# Requests of the completeness corpus below that a change of at most two
+# base atoms realises although view_update finds none, with that change.
+# Each gives a body-only variable a constant that no true subgoal provides,
+# which _options_for_add leaves out by design: such a variable takes a
+# stored source's value or the alternative's witness.
+UNSOURCED_ANSWERS = {
+    # v1(b) :- v3(a,a), v3(X1,a) :- e3(X1), e3(Y1), e2: Y1 = a, no e3 stored
+    (40, Atom("v1", ("b",))): {Atom("e3", ("a",))},
+    # v3(a,a) :- e1(b,a), v2(a,Y1) and v2(a,b) :- e3(b,a): Y1 = b
+    (207, Atom("v1", ("a", "a"))): {Atom("e1", ("b", "a")), Atom("e3", ("b", "a"))},
+    # v1(b) :- e1, v3(b), v3(b) :- e2(b), v2(b,Y1) and v2(b,a) :- e1, ...: Y1 = a
+    (227, Atom("v1", ("b",))): {Atom("e1")},
+    # v1(a,b) :- v1(Y1,b), e1(Y1,b), e1(Y1,Y1) and v1(b,b) :- e4: Y1 = b
+    (230, Atom("v2")): {Atom("e1", ("b", "b")), Atom("e4")},
+}
+
+
+def test_unrealizable_inserts_have_no_small_answer():
+    """Every plain "cannot realise" verdict on a small cyclic corpus with
+    body-only variables is checked against every change of up to two base
+    atoms over the request's constants and two fresh ones."""
+    config = GeneratorConfig(extra_body_vars=1, constant_count=2)
+    verdicts, unsourced = 0, {}
+    for seed in range(250):
+        db = random_database(seed, config)
+        for k in range(2):
+            goal = random_ground_atom(db, 7 * seed + k)
+            try:
+                view_update(db, UpdateRequest(inserts=(goal,)))
+                continue
+            except UnrealizableError as err:
+                assert not err.exhausted, (seed, goal)
+            verdicts += 1
+            pool = base_atoms(db, db.universe() | set(goal.args) | {"new_1", "new_2"})
+            found = brute_transactions(db.idb, db.ic, db.edb, pool, inserts=[goal], max_change=2)
+            if found:
+                assert [removals for _, removals in found] == [frozenset()], (seed, goal)
+                unsourced[seed, goal] = set(found[0][0])
+    assert unsourced == UNSOURCED_ANSWERS
+    assert verdicts > 50

@@ -9,7 +9,7 @@ from vud.deletion import deletion_candidates
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.explain import local_explanations
 from vud.insertion import insertion_candidates
-from vud.lang import MAX_ROUNDS, Atom, Database, Transaction
+from vud.lang import Atom, Database, Transaction
 from vud.randgen import chain_database
 from vud.revision import (
     CONTRACTION_GUARANTEES,
@@ -169,9 +169,9 @@ def test_repair_respects_protection():
 
 
 def test_repair_reports_exhaustion():
-    # each round disarms one denial, and nine take more rounds than the
-    # shared limit allows
-    text = "".join("a%d.\n:- a%d.\n" % (i, i) for i in range(1, MAX_ROUNDS + 2))
+    # each of the fifteen denials is disarmed by removing a_i or b_i, so the
+    # repairs are 2^15 and their search passes the state budget
+    text = "".join("a%d.\nb%d.\n:- a%d, b%d.\n" % (i, i, i, i) for i in range(1, 16))
     outcome = repair_constraints(Database.parse(text))
     assert outcome.transactions == ()
     assert outcome.exhausted
