@@ -57,7 +57,7 @@ def measure(n: int) -> Measurement:
     split = build_tableau(program, delete_request(Atom("p1")), db.edb)
     end = time.perf_counter()
     cut = db.with_edb(db.edb - {Atom("a%d" % n), Atom("b%d" % n)})
-    log = SearchLog()
+    log = SearchLog.for_request(cut, (Atom("p1"),))
     insertion_worlds(cut, Atom("p1"), log)
     inserted = time.perf_counter()
     return Measurement(

@@ -11,10 +11,10 @@ constraint violations go through the repair search.
 
 All of these searches run on lang.breadth_first and draw on the request's
 one SearchLog: MAX_STATES states for the whole request, the one limit.
-The log fixes the constants every insertion search ranges over, so each
-search ends by itself or there, returning what it has and marking the
-log, which ends up as the exhausted flag on the result or the error.  If nothing survives, the
-request is unrealizable and the error carries a trace of what was tried.
+Every insertion search ranges over the log's constants, db's and the goals',
+so each ends by itself or there, returning what it has and marking the log,
+which ends up as the exhausted flag on the result or the error.  If nothing
+survives, the request is unrealizable; the error traces what was tried.
 The same log keeps the changed databases the request reaches, so each is
 built, and its model computed, once per request, whether a search, the
 verifying step or the postulate audit asks for it.
@@ -171,8 +171,7 @@ def view_update(
         )
 
     minimality = variant == "minimal"
-    log = SearchLog()
-    log.fix_constants(db, (goal for _, goal in request.goals))
+    log = SearchLog.for_request(db, (goal for _, goal in request.goals))
     trace: list[str] = []
 
     def note(line: str) -> None:

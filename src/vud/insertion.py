@@ -9,7 +9,7 @@ folded to two literals.  An added view atom then propagates case by case:
   adding p for an alternative-defined predicate splits into one child per
   alternative; adding p for a conjunctive rule adds every subgoal not
   already true, with body variables outside the head instantiated jointly
-  over the request's constants (SearchLog.fix_constants), or over one
+  over the request's constants (SearchLog.for_request), or over one
   witness per alternative, named past them, when no stored source can bind
   them; a subgoal that must become false is removed, by the deletion
   machinery when it is a view atom.  A witness is thus the same constant in
@@ -256,9 +256,11 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     """Finished worlds for inserting goal, breadth first.
 
     A world is a consistent change to view and base atoms with every view
-    change expanded away; its base part is a candidate transaction.  A log
-    without constants gets db's and goal's.  A stop at the request's state
-    budget is marked on the log and the worlds finished so far are returned.
+    change expanded away; its base part is a candidate transaction.  Body
+    variables range over the request's constants (log's, or db's and
+    goal's without a log), never over a witness an earlier search stored:
+    joining on it would list one change under two witness names.  A stop
+    at the state budget is marked on the log; the worlds found are returned.
 
     A world is known by its transaction without alternative-helper atoms
     (_Form.alternative_helpers) and by its pending view changes, and the
@@ -275,11 +277,11 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     where every live copy would cost more memory than a rebuild saves.
     """
     if log is None:
-        log = SearchLog()
+        log = SearchLog.for_request(db, (goal,))
     form = _form(db)
     defs, alternative_helpers = form.definitions, form.alternative_helpers
     model = search_model(db)
-    universe = tuple(sorted(log.fix_constants(db, (goal,))))
+    universe = tuple(sorted(log.constants))
     names = _unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
     adds: dict[Atom, list[Transaction]] = {}
@@ -393,7 +395,7 @@ def insertion_candidates(
     if atom in least_model(db):
         return (Transaction(),)
     if log is None:
-        log = SearchLog()
+        log = SearchLog.for_request(db, (atom,))
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db, log)

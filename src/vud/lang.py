@@ -211,7 +211,7 @@ MAX_STATES = 20000
 class SearchLog:
     """What one request keeps while it runs: its search budget (the states
     its searches have visited, and how many of them the limit stopped with
-    work left), its constants and the changed databases its checks reach.
+    work left), its constants (for_request) and the changed databases.
     A stopped search's answer may be incomplete, an empty one proves nothing.
 
     The log goes when the request returns; no result, error or Database
@@ -223,16 +223,14 @@ class SearchLog:
     constants: frozenset[str] | None = field(default=None, repr=False, compare=False)
     databases: dict[frozenset[Atom], "Database"] = field(default_factory=dict, repr=False, compare=False)
 
+    @classmethod
+    def for_request(cls, db: "Database", goals: Iterable[Atom]) -> "SearchLog":
+        """The log of a request on db: db's constants plus the goals'."""
+        return cls(constants=frozenset(db.universe().union(*(g.args for g in goals))))
+
     @property
     def exhausted(self) -> bool:
         return self.stops > 0
-
-    def fix_constants(self, db: "Database", goals: Iterable[Atom]) -> frozenset[str]:
-        """The request's constants, db's plus the goals' arguments, as the
-        first call fixes them: a witness a search stores stays a witness."""
-        if self.constants is None:
-            self.constants = db.universe().union(*(g.args for g in goals))
-        return self.constants
 
     def changed(self, db: "Database", facts: frozenset[Atom]) -> "Database":
         """db.with_edb(facts), made once per fact set: the request checks

@@ -11,8 +11,9 @@ deletion tableau, so contraction takes them from there, with no proof
 tree or hitting-set family built.  Constraint repair, and the single
 repair round that contraction and revision grant a candidate, run on
 lang.breadth_first with one SearchLog per operation, which also keeps
-the changed databases the operation checks.  The checkers at the
-bottom state the postulates operationally so a result can be audited.
+the changed databases and the constants (the database's and the atom's)
+its checks and repairs use.  The checkers at the bottom state the
+postulates operationally so a result can be audited.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def repair_constraints(
     facts may not be removed, protect_absent atoms may not be added.
     """
     if log is None:
-        log = SearchLog()
+        log = SearchLog.for_request(db, ())
     stops = log.stops
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
@@ -128,10 +129,10 @@ def _finalize(
     """The raw candidates that reach the goal without breaking a constraint
     (proved where semantics.removals_settled holds), plus one round of
     repairs on the same SearchLog for those that break one, which must
-    still reach the goal."""
+    still reach the goal, its constants db's and atom's."""
     protect_goal = frozenset() if want_derivable else frozenset({atom})
     settled = not want_derivable and removals_settled(db)
-    log = SearchLog()
+    log = SearchLog.for_request(db, (atom,))
 
     def step(tx: Transaction, depth: int) -> Callable[[], list[Transaction]] | None:
         after = tx.apply(db, log)

@@ -112,12 +112,17 @@ def _peel_strata(rules: Sequence[Rule]) -> list[set[str]]:
     return strata
 
 
-def naive_model(
-    rules: Sequence[Rule], facts: Iterable[Atom], grounded: dict[tuple[str, ...], list[Rule]] | None = None,
-) -> frozenset[Atom]:
+def naive_model(rules: Sequence[Rule], facts: Iterable[Atom]) -> frozenset[Atom]:
     """Perfect model by naive repeated application of all ground rules,
-    one peeled stratum at a time.  grounded, when given, keeps the ground
-    rules per constant set for later calls on the same rules."""
+    one peeled stratum at a time."""
+    return _naive_model(rules, facts, {})
+
+
+def _naive_model(
+    rules: Sequence[Rule], facts: Iterable[Atom], grounded: dict[tuple[str, ...], list[Rule]],
+) -> frozenset[Atom]:
+    """naive_model, with grounded keeping the ground rules per constant
+    set for later calls on the same rules."""
     rules = [r for r in rules if r.head is not None and r.body]
     consts: set[str] = set()
     for r in rules:
@@ -127,7 +132,6 @@ def naive_model(
     for a in facts:
         consts.update(a.args)
     key = tuple(sorted(consts))
-    grounded = {} if grounded is None else grounded
     if key not in grounded:
         grounded[key] = [g for r in rules for g in _ground_instances(r, key)]
     ground = grounded[key]
@@ -391,11 +395,11 @@ def brute_transactions(
                 for dels in itertools.combinations(dels_pool, nd):
                     combos.append((frozenset(adds), frozenset(dels)))
     combos.sort(key=lambda p: (len(p[0]) + len(p[1]), sorted(p[0]), sorted(p[1])))
-    grounded: dict[tuple[str, ...], list[Rule]] = {}
+    grounded: dict[tuple[str, ...], list[Rule]] = {}  # idb's ground rules
     for adds, dels in combos:
         if any(a <= adds and d <= dels for a, d in found):
             continue
-        model = naive_model(idb, (edb | adds) - dels, grounded)
+        model = _naive_model(idb, (edb | adds) - dels, grounded)
         if not all(a in model for a in inserts):
             continue
         if any(a in model for a in deletes):
@@ -638,10 +642,10 @@ def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     view atom are listed again on every expansion.  Constants and witness
     names are the request's, taken as insertion_worlds takes them."""
     if log is None:
-        log = SearchLog()
+        log = SearchLog.for_request(db, (goal,))
     defs = insertion._form(db).definitions
     model = insertion.search_model(db)
-    universe = tuple(sorted(log.fix_constants(db, (goal,))))
+    universe = tuple(sorted(log.constants))
     names = insertion._unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
 

@@ -270,8 +270,8 @@ SEARCH_MODEL_CORPORA = {
 def _world_answers(db: Database, goal: Atom) -> tuple:
     """The base parts of the worlds, in order, and the candidates with
     their log's exhausted flag."""
-    log = SearchLog()
-    return (insertion._world_transactions(db, goal, SearchLog()),
+    log = SearchLog.for_request(db, (goal,))
+    return (insertion._world_transactions(db, goal, SearchLog.for_request(db, (goal,))),
             insertion_candidates(db, goal, log=log), log.exhausted)
 
 
@@ -366,8 +366,8 @@ def test_chain_insert_visits_states_linear_in_the_chain(n, monkeypatch):
     logs: list[SearchLog] = []
 
     class RecordedLog(SearchLog):
-        def __init__(self) -> None:
-            super().__init__()
+        def __init__(self, **fields) -> None:
+            super().__init__(**fields)
             logs.append(self)
 
     monkeypatch.setattr(engine, "SearchLog", RecordedLog)
@@ -566,21 +566,36 @@ def test_a_world_search_keeps_the_request_constants_and_witnesses():
     # produced, where new_1 is stored; on the same log it is still the
     # witness, not a known constant that mints new_2
     db = Database.parse("v(X) :- e(X,Y).\n")
-    log = SearchLog()
+    log = SearchLog.for_request(db, (Atom("v", ("c",)),))
+    assert log.constants == {"c"}
     first = insertion._world_transactions(db, Atom("v", ("c",)), log)
     assert first == (Transaction(frozenset({Atom("e", ("c", "new_1"))}), frozenset()),)
-    assert log.constants == {"c"}
     after = first[0].apply(db, log)
     again = insertion._world_transactions(after, Atom("v", ("d",)), log)
     assert again == (Transaction(frozenset({Atom("e", ("d", "new_1"))}), frozenset()),)
     assert log.constants == {"c"}
-    # a fresh log takes the changed database's constants, new_1 among
-    # them, and names its witness past them
-    fresh = SearchLog()
+    # a request that starts on the changed database has new_1 among its
+    # constants and names its witness past them
+    fresh = SearchLog.for_request(after, (Atom("v", ("d",)),))
+    assert fresh.constants == {"c", "d", "new_1"}
     assert insertion._world_transactions(after, Atom("v", ("d",)), fresh) == (
         Transaction(frozenset({Atom("e", ("d", "new_2"))}), frozenset()),
     )
-    assert fresh.constants == {"c", "d", "new_1"}
+
+
+def test_a_rerun_does_not_join_on_a_witness_the_request_stored():
+    # e(c,new_1), stored for v(c), could source Y and Z of w(d) with one
+    # new fact, g(d,new_1); the search keeps to its own witness new_2, as
+    # a join on new_1 is the kind that lists one change under two witness
+    # names (test_one_change_is_one_alternative_whatever_its_witness)
+    db = Database.parse("v(X) :- e(X,Y).\nw(X) :- g(X,Y), e(Z,Y).\n")
+    log = SearchLog.for_request(db, (Atom("v", ("c",)), Atom("w", ("d",))))
+    (first,) = insertion._world_transactions(db, Atom("v", ("c",)), log)
+    assert first.additions == {Atom("e", ("c", "new_1"))}
+    after = first.apply(db, log)
+    assert insertion._world_transactions(after, Atom("w", ("d",)), log) == (
+        Transaction(frozenset({Atom("g", ("d", "new_2")), Atom("e", ("new_2", "new_2"))}), frozenset()),
+    )
 
 
 def test_reruns_realise_what_fresh_witnesses_ran_out_of_budget_on():

@@ -45,8 +45,13 @@ def test_log_reuses_an_instance_only_with_the_same_rules():
 
 def test_nothing_the_log_keeps_outlives_the_request(monkeypatch):
     logs = []
-    real = engine.SearchLog
-    monkeypatch.setattr(engine, "SearchLog", lambda: logs.append(real()) or logs[-1])
+
+    class RecordedLog(engine.SearchLog):
+        def __init__(self, **fields) -> None:
+            super().__init__(**fields)
+            logs.append(self)
+
+    monkeypatch.setattr(engine, "SearchLog", RecordedLog)
     db = Database.parse("p :- a, not b.\np :- c, d.\nq :- c, not e.\na.\nc.\nd.\n:- q, f.\n")
     result = view_update(db, UpdateRequest(deletes=(Atom("p"),)))
     # storing b breaks the denial, and nothing else makes b true

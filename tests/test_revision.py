@@ -209,6 +209,19 @@ def test_contract_staff(staff):
     )
 
 
+def test_contract_repairs_range_over_the_starting_constants():
+    # the cut -e(z) is repaired first (+r); the repair of the cut -g still
+    # stores k(z), although that database no longer holds z
+    db = Database.parse(
+        "p :- e(X), g.\nu :- e(X).\nu :- r.\nw :- g.\nw :- k(Y), e(Y).\n"
+        ":- not u.\n:- not w.\ne(z).\ng.\n"
+    )
+    assert contract(db, Atom("p")) == (
+        Transaction(frozenset({Atom("k", ("z",))}), atoms("g")),
+        Transaction(atoms("r"), frozenset({Atom("e", ("z",))})),
+    )
+
+
 def test_contract_vacuous(basic):
     assert contract(basic, Atom("b")) == (Transaction(),)
 
