@@ -2,9 +2,11 @@
 
 A request to insert a view atom starts a change that adds that atom.  Rules
 are first normalised: every predicate defined by several rules gets a
-canonical distinct-variable head and single-atom alternatives (helper
-predicates _v1, _v2, ... absorb conjunctive bodies), and long bodies are
-folded to two literals.  An added view atom then propagates case by case:
+canonical distinct-variable head X.1, X.2, ... and single-atom alternatives
+(helper predicates _v.1, _v.2, ... absorb conjunctive bodies), and long
+bodies are folded to two literals.  The parser reads no dot inside a name,
+so no program's predicate or variable can take one of these names.  An
+added view atom then propagates case by case:
 
   adding p for an alternative-defined predicate splits into one child per
   alternative; adding p for a conjunctive rule adds every subgoal not
@@ -31,7 +33,8 @@ finds them again.  The world search reads the database's kept model plus
 the helper atoms, which the helper rules alone derive over that model.
 
 Derivability checks run on a goal-guarded rewriting of the rules so only
-atoms relevant to the goal are derived.
+atoms relevant to the goal are derived; guards (@p, again a name no program
+can spell) stand over the predicates some rule defines.
 """
 
 from __future__ import annotations
@@ -45,18 +48,13 @@ from .lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
     is_variable, unique,
 )
-from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model
+from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model, match_atom
 
 ADD = "+"
 REMOVE = "-"
 
 
 # --- normalisation --------------------------------------------------------
-
-
-def _unused(pattern: str, taken: Collection[str]) -> Iterator[str]:
-    """pattern % 1, pattern % 2, ..., skipping the taken names."""
-    return (name for name in (pattern % k for k in itertools.count(1)) if name not in taken)
 
 
 def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
@@ -71,22 +69,21 @@ def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
     return [Rule(rule.head, (first, Literal(helper)))] + _binarize(Rule(helper, rest), names)
 
 
-def normalize_rules(rules: Sequence[Rule], taken: Collection[str] = ()) -> tuple[Rule, ...]:
-    """Propagation form: canonical heads for alternative-defined predicates,
-    single-atom alternatives, at most two subgoals per rule.  Helper
-    predicates are named _v1, _v2, ..., skipping every predicate the rules
-    mention and the taken names."""
+def normalize_rules(rules: Sequence[Rule]) -> tuple[Rule, ...]:
+    """Propagation form: canonical heads X.1, X.2, ... for alternative-defined
+    predicates, single-atom alternatives, at most two subgoals per rule.
+    Helper predicates are named _v.1, _v.2, ...  No program can spell these
+    names (lang._TOKEN_RE reads no dot inside a name), so they never meet a
+    predicate or variable of the rules, and they sort where _v1 and X1 would."""
     order: list[str] = []
     groups: dict[str, list[Rule]] = {}
-    taken = set(taken)
     for r in rules:
-        taken.update(a.pred for a in ([] if r.head is None else [r.head]) + [l.atom for l in r.body])
         if r.head is None or not r.body:
             continue
         if r.head.pred not in groups:
             order.append(r.head.pred)
         groups.setdefault(r.head.pred, []).append(r)
-    names = _unused("_v%d", taken)
+    names = ("_v.%d" % k for k in itertools.count(1))
     out: list[Rule] = []
     for pred in order:
         rs = groups[pred]
@@ -94,27 +91,18 @@ def normalize_rules(rules: Sequence[Rule], taken: Collection[str] = ()) -> tuple
             out.extend(_binarize(rs[0], names))
             continue
         arity = len(rs[0].head.args)
-        canon = tuple("X%d" % i for i in range(1, arity + 1))
+        canon = tuple("X.%d" % i for i in range(1, arity + 1))
         canon_head = Atom(pred, canon)
         for r in rs:
-            args = r.head.args
             # constants and repeated variables in the head become equality
             # subgoals on the canonical head variables
             theta: dict[str, str] = {}
             eqs: list[Literal] = []
-            for slot, a in zip(canon, args):
+            for slot, a in zip(canon, r.head.args):
                 if is_variable(a) and a not in theta:
                     theta[a] = slot
                 else:
                     eqs.append(Literal(Atom(EQ, (slot, theta.get(a, a)))))
-            spare = itertools.count(1)
-            for v in sorted(r.variables() - set(theta)):
-                if v in canon:
-                    while True:
-                        name = "Y%d" % next(spare)
-                        if name not in canon and name not in theta.values():
-                            break
-                    theta[v] = name
             body = tuple(eqs) + tuple(l.substitute(theta) for l in r.body)
             if len(body) == 1 and not body[0].negated and body[0].atom.pred != EQ:
                 out.append(Rule(canon_head, body))
@@ -151,7 +139,7 @@ class _Form(NamedTuple):
     """The propagation form of a rule set: the helper rules of the
     normalised rules (those whose head predicate no rule of the set
     defines), the definitions of every predicate, views and helpers alike,
-    and the alternative helpers, the _vk in p(X̄) :- _vk(X̄) that stand for
+    and the alternative helpers, the _v.k in p(X̄) :- _v.k(X̄) that stand for
     one rule of a predicate several rules define."""
 
     helpers: tuple[Rule, ...]
@@ -159,11 +147,11 @@ class _Form(NamedTuple):
     alternative_helpers: frozenset[str]
 
 
-def _propagation_form(idb: tuple[Rule, ...], taken: frozenset[str] = frozenset()) -> _Form:
-    """The propagation form of idb, with helper names that skip the taken
-    ones too.  Kept per rule set by semantics.kept_form, so it holds no
-    rule of idb: helper rules are new, definitions hold literals."""
-    normalized = normalize_rules(idb, taken)
+def _propagation_form(idb: tuple[Rule, ...]) -> _Form:
+    """The propagation form of idb.  Kept per rule set by
+    semantics.kept_form, so it holds no rule of idb: helper rules are new,
+    definitions hold literals."""
+    normalized = normalize_rules(idb)
     views = {r.head.pred for r in idb if r.head is not None}
     helpers = tuple(r for r in normalized if r.head is not None and r.head.pred not in views)
     named = {r.head.pred for r in helpers}
@@ -177,15 +165,8 @@ def _propagation_form(idb: tuple[Rule, ...], taken: frozenset[str] = frozenset()
 
 
 def _form(db: Database) -> _Form:
-    """The propagation form of db's rules, kept per rule set.  Its helper
-    names skip the predicates the rules mention; when db's facts or
-    denials use one of them too (a base predicate named _v1, say, would
-    stand in for the helper), db gets the form whose helper names skip its
-    base predicates as well, kept beside the first."""
-    form = kept_form(db.idb, _propagation_form)
-    if form.definitions.keys().isdisjoint(db.base_predicates):
-        return form
-    return kept_form(db.idb, _propagation_form, db.base_predicates)
+    """The propagation form of db's rules, kept per rule set."""
+    return kept_form(db.idb, _propagation_form)
 
 
 def search_model(db: Database) -> frozenset[Atom]:
@@ -198,20 +179,12 @@ def search_model(db: Database) -> frozenset[Atom]:
     return fixpoint_model(helpers, model, db.universe()) if helpers else model
 
 
-def _match(pattern: Atom, ground: Atom) -> dict[str, str] | None:
-    if pattern.pred != ground.pred or len(pattern.args) != len(ground.args):
-        return None
-    theta: dict[str, str] = {}
-    for p, g in zip(pattern.args, ground.args):
-        if is_variable(p):
-            if theta.setdefault(p, g) != g:
-                return None
-        elif p != g:
-            return None
-    return theta
-
-
 # --- world search ----------------------------------------------------------
+
+
+def _unused(pattern: str, used: Collection[str]) -> Iterator[str]:
+    """pattern % 1, pattern % 2, ..., skipping the used names."""
+    return (name for name in (pattern % k for k in itertools.count(1)) if name not in used)
 
 
 def _options_for_add(
@@ -225,11 +198,11 @@ def _options_for_add(
     goal derivable.  Variables outside the head range over the constants and
     the alternative's fresh witness; a constant-valued extra variable must be
     bound by some subgoal already true in the model."""
+    theta = match_atom(defn.head, goal)
+    if theta is None:
+        return []
     options: list[Transaction] = []
     for idx, body in enumerate(defn.alternatives):
-        theta = _match(defn.head, goal)
-        if theta is None:
-            continue
         extra = sorted(frozenset().union(*(l.atom.variables() for l in body)) - set(theta))
         witness = fresh[idx]
         for combo in itertools.product(universe + (witness,), repeat=len(extra)):
@@ -267,7 +240,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     search drops a world known before.  This loses no world that differs
     only in those atoms: helpers occur only positively, and removals are
     negated subgoals or stored-fact cuts, so a helper atom is never
-    removed; and _vk(c̄) is added only by expanding p(c̄), which a world
+    removed; and _v.k(c̄) is added only by expanding p(c̄), which a world
     expands at most once.  So two worlds with the same key have the same
     descendants up to those atoms, and a chain of n two-way links keeps one
     world per base part instead of 2^n.  Adding a view atom has the same
@@ -436,20 +409,22 @@ def magic_program(rules: Sequence[Rule]) -> tuple[Rule, ...]:
     """Guarded rewriting for goal-directed bottom-up evaluation.
 
     Each rule waits for its head guard; guards flow left to right through
-    the body, so evaluation only derives atoms a proof of the seeded goal
-    could touch.  Negation-free rules only.
+    the body to the subgoals some rule defines, so evaluation only derives
+    atoms a proof of the seeded goal could touch.  No rule waits on a guard
+    over a base predicate, so none is made (Bancilhon, Maier, Sagiv &
+    Ullman, PODS 1986).  Negation-free rules only.
     """
+    rules = [r for r in rules if r.head is not None and r.body]
+    defined = {r.head.pred for r in rules}  # type: ignore[union-attr]
     out: list[Rule] = []
     for r in rules:
-        if r.head is None or not r.body:
-            continue
         if any(l.negated for l in r.body):
             raise ValueError("goal-guarded evaluation expects negation-free rules")
-        guard = Literal(guard_atom(r.head))
+        guard = Literal(guard_atom(r.head))  # type: ignore[arg-type]
         out.append(Rule(r.head, (guard,) + r.body))
         prefix: list[Literal] = []
         for lit in r.body:
-            if lit.atom.pred != EQ:
+            if lit.atom.pred in defined:
                 out.append(Rule(guard_atom(lit.atom), (guard,) + tuple(prefix)))
             prefix.append(lit)
     return tuple(out)

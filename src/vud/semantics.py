@@ -48,7 +48,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lang import (
     EQ,
@@ -195,7 +195,7 @@ class _Program:
             for r in rules
         ])
         self.refs: list[weakref.ref[Rule]] = []
-        self.forms: dict[tuple[Hashable, ...], object] = {}
+        self.forms: dict[Callable[..., object], object] = {}
         self._plans: list[_Plan | None] = [None] * len(rules)
         self._delta: dict[tuple[int, int], _Plan] = {}
         self._consts: frozenset[str] | None = None
@@ -277,9 +277,9 @@ def _compiled(rules: tuple[Rule, ...]) -> _Program:
 _F = TypeVar("_F")
 
 
-def kept_form(rules: tuple[Rule, ...], build: Callable[..., _F], *args: Hashable) -> _F:
-    """build(rules, *args), made once per rule set and arguments and kept
-    with the rules' compiled program.  Databases derived by Transaction.apply share their
+def kept_form(rules: tuple[Rule, ...], build: Callable[[tuple[Rule, ...]], _F]) -> _F:
+    """build(rules), made once per rule set and kept with the rules'
+    compiled program.  Databases derived by Transaction.apply share their
     parent's rules, so they find it again; it goes when the rules do, or
     when their program leaves the cache.  What build returns must hold no
     reference to the rules, or they could never go.
@@ -288,10 +288,9 @@ def kept_form(rules: tuple[Rule, ...], build: Callable[..., _F], *args: Hashable
     hold them, not every database a workload keeps alive.
     """
     forms = _compiled(rules).forms
-    key = (build, *args)
-    form = forms.get(key)
+    form = forms.get(build)
     if form is None:
-        form = forms[key] = build(rules, *args)
+        form = forms[build] = build(rules)
     return form  # type: ignore[return-value]
 
 
@@ -560,6 +559,20 @@ def _by_head(rules: tuple[Rule, ...]) -> dict[str, list[tuple[int, list[str]]]]:
     return index
 
 
+def match_atom(pattern: Atom, ground: Atom) -> dict[str, str] | None:
+    """The substitution that makes pattern the ground atom, or None."""
+    if pattern.pred != ground.pred or len(pattern.args) != len(ground.args):
+        return None
+    theta: dict[str, str] = {}
+    for p, g in zip(pattern.args, ground.args):
+        if is_variable(p):
+            if theta.setdefault(p, g) != g:
+                return None
+        elif p != g:
+            return None
+    return theta
+
+
 class RuleInstances(dict):
     """Ground instances of rules over constants by head atom, listed on an
     atom's first lookup in the order ground_program lists them: the rules
@@ -577,15 +590,12 @@ class RuleInstances(dict):
         found = self[atom] = []
         for n, names in self._by_head.get(atom.pred, ()):
             rule = self._rules[n]
-            head = rule.head.args  # type: ignore[union-attr]
             if not names:
-                if head == atom.args:
+                if rule.head.args == atom.args:  # type: ignore[union-attr]
                     found.append(rule)
                 continue
-            theta: dict[str, str] = {}
-            if len(head) != len(atom.args) or not all(
-                theta.setdefault(t, c) == c if is_variable(t) else t == c for t, c in zip(head, atom.args)
-            ):
+            theta = match_atom(rule.head, atom)  # type: ignore[arg-type]
+            if theta is None:
                 continue
             rest = [v for v in names if v not in theta]
             for combo in itertools.product(self._consts, repeat=len(rest)):

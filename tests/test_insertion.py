@@ -65,15 +65,15 @@ def test_delta_round_trip():
 def test_normalize_basic_shapes(basic):
     got = [str(r) for r in normalize_rules(basic.idb)]
     assert got == [
-        "p :- _v1",
-        "_v1 :- a, e",
-        "p :- _v2",
-        "_v2 :- b, f",
+        "p :- _v.1",
+        "_v.1 :- a, e",
+        "p :- _v.2",
+        "_v.2 :- b, f",
         "p :- q",
-        "q :- _v3",
-        "_v3 :- a, f",
-        "q :- _v4",
-        "_v4 :- b, e",
+        "q :- _v.3",
+        "_v.3 :- a, f",
+        "q :- _v.4",
+        "_v.4 :- b, e",
         "q :- a",
     ]
 
@@ -89,16 +89,16 @@ def test_normalize_canonical_heads():
     )
     got = [str(r) for r in normalize_rules(rules)]
     assert got == [
-        "path(X1,X2) :- edge(X1,X2)",
-        "path(X1,X2) :- _v1(X1,X2)",
-        "_v1(X1,X2) :- edge(X1,Z), path(Z,X2)",
+        "path(X.1,X.2) :- edge(X.1,X.2)",
+        "path(X.1,X.2) :- _v.1(X.1,X.2)",
+        "_v.1(X.1,X.2) :- edge(X.1,Z), path(Z,X.2)",
     ]
 
 
 def test_normalize_folds_long_bodies():
     rules = parse_program("w :- a, b, c, d.\n")
     got = [str(r) for r in normalize_rules(rules)]
-    assert got == ["w :- a, _v1", "_v1 :- b, _v2", "_v2 :- c, d"]
+    assert got == ["w :- a, _v.1", "_v.1 :- b, _v.2", "_v.2 :- c, d"]
 
 
 def test_normalize_carries_shared_variables():
@@ -106,8 +106,8 @@ def test_normalize_carries_shared_variables():
     got = [str(r) for r in normalize_rules(rules)]
     # Y links the first literal to the rest, X is needed again at the end
     assert got == [
-        "w(X) :- e(X,Y), _v1(X,Y)",
-        "_v1(X,Y) :- f(Y,Z), g(Z,X)",
+        "w(X) :- e(X,Y), _v.1(X,Y)",
+        "_v.1(X,Y) :- f(Y,Z), g(Z,X)",
     ]
 
 
@@ -115,9 +115,9 @@ def test_normalize_constant_heads_become_equalities():
     rules = parse_program("p(a) :- q.\np(X) :- r(X).\n")
     got = [str(r) for r in normalize_rules(rules)]
     assert got == [
-        "p(X1) :- _v1(X1)",
-        "_v1(X1) :- eq(X1,a), q",
-        "p(X1) :- r(X1)",
+        "p(X.1) :- _v.1(X.1)",
+        "_v.1(X.1) :- eq(X.1,a), q",
+        "p(X.1) :- r(X.1)",
     ]
 
 
@@ -125,22 +125,23 @@ def test_normalize_repeated_head_variables_become_equalities():
     rules = parse_program("p(X, X) :- q(X).\np(X, Y) :- r(X, Y).\n")
     got = [str(r) for r in normalize_rules(rules)]
     assert got == [
-        "p(X1,X2) :- _v1(X1,X2)",
-        "_v1(X1,X2) :- eq(X2,X1), q(X1)",
-        "p(X1,X2) :- r(X1,X2)",
+        "p(X.1,X.2) :- _v.1(X.1,X.2)",
+        "_v.1(X.1,X.2) :- eq(X.2,X.1), q(X.1)",
+        "p(X.1,X.2) :- r(X.1,X.2)",
     ]
 
 
-# A program that defines a predicate named like normalize_rules' first helper.
+# A program predicate _v1 beside the helper _v.1 that folding p's long body
+# makes.
 HELPER_NAMED_TEXT = "p(X) :- a(X), b(X), c(X).\n_v1(X) :- d(X).\na(k).\nb(k).\nd(k).\n"
 
 
-def test_helper_names_skip_the_program_predicates():
+def test_helper_names_cannot_collide_with_program_predicates():
     named = Database.parse(HELPER_NAMED_TEXT)
     renamed = Database.parse(HELPER_NAMED_TEXT.replace("_v1", "w"))
     assert [str(r) for r in normalize_rules(named.idb)] == [
-        "p(X) :- a(X), _v2(X)",
-        "_v2(X) :- b(X), c(X)",
+        "p(X) :- a(X), _v.1(X)",
+        "_v.1(X) :- b(X), c(X)",
         "_v1(X) :- d(X)",
     ]
     goal = Atom("p", ("k",))
@@ -161,10 +162,26 @@ def test_helper_names_skip_fact_and_denial_predicates(text):
     want = Transaction(frozenset({Atom("c", ("k",))}), frozenset())
     assert insertion_candidates(db, goal) == (want,)
     assert view_update(db, UpdateRequest(inserts=(goal,))).chosen == want
-    # without a stored _v1 fact the first database reads the form of its
-    # rules alone, and gets the same candidate
+    # without the stored _v1 fact the first database gets the same candidate
     plain = db.with_edb(db.edb - {Atom("_v1", ("k",))})
     assert insertion_candidates(plain, goal) == (want,)
+
+
+@pytest.mark.parametrize("text,want", [
+    # a body variable X1 beside the canonical head variable X.1: a normal
+    # form that turned the head's Y into X1 would capture it, read
+    # r(X1,X1), t(X1), and give +r(k,k), +t(k) instead of +t(b)
+    ("q(Y) :- r(Y,X1), t(X1).\nq(Y) :- s(Y).\nr(k,b).\n",
+     (Transaction(frozenset({Atom("s", ("k",))})), Transaction(frozenset({Atom("t", ("b",))})))),
+    # a normal form that moved X1 out of the way to Y1 would capture the
+    # body's Y1, read s(Y1,Y1), and give +s(b,b) as well
+    ("q(Z) :- r(Z,X1), s(X1,Y1).\nq(Z) :- t(Z).\nr(k,b).\n",
+     (Transaction(frozenset({Atom("t", ("k",))})),)),
+])
+def test_body_variables_keep_apart_from_canonical_head_variables(text, want):
+    goal = Atom("q", ("k",))
+    assert insertion_candidates(Database.parse(text), goal) == want
+    assert insertion_candidates(Database.parse(text.replace("X1", "W")), goal) == want
 
 
 def test_insertion_through_constant_head():
@@ -180,9 +197,9 @@ def test_insertion_through_constant_head():
 
 def test_view_definitions_group_alternatives(basic):
     defs = view_definitions(normalize_rules(basic.idb))
-    assert set(defs) == {"p", "q", "_v1", "_v2", "_v3", "_v4"}
-    assert [b[0].atom.pred for b in defs["p"].alternatives] == ["_v1", "_v2", "q"]
-    assert defs["_v1"].alternatives == ((parse_program("x :- a, e.")[0].body),)
+    assert set(defs) == {"p", "q", "_v.1", "_v.2", "_v.3", "_v.4"}
+    assert [b[0].atom.pred for b in defs["p"].alternatives] == ["_v.1", "_v.2", "q"]
+    assert defs["_v.1"].alternatives == ((parse_program("x :- a, e.")[0].body),)
 
 
 def test_propagation_rules_staff(staff):
@@ -198,8 +215,8 @@ def test_propagation_rules_staff(staff):
 def test_propagation_rules_alternatives_split(basic):
     clauses = propagation_rules(basic)
     heads = {c.body[0].atom.pred: [l.atom.pred for l in c.head] for c in clauses if len(c.head) > 1}
-    assert heads["+p"] == ["+_v1", "+_v2", "+q"]
-    assert heads["+q"] == ["+_v3", "+_v4", "+a"]
+    assert heads["+p"] == ["+_v.1", "+_v.2", "+q"]
+    assert heads["+q"] == ["+_v.3", "+_v.4", "+a"]
 
 
 # --- world search ----------------------------------------------------------
@@ -208,8 +225,8 @@ def test_propagation_rules_alternatives_split(basic):
 def test_insertion_worlds_basic():
     db = Database.load("data/basic.dl").with_edb(atoms("e", "f"))
     worlds = insertion_worlds(db, Atom("p"))
-    # +_v3, +a, +p, +q differs from +a, +p, +q only in the alternative
-    # helper _v3, so the search keeps the world it reached first
+    # +_v.3, +a, +p, +q differs from +a, +p, +q only in the alternative
+    # helper _v.3, so the search keeps the world it reached first
     assert len(worlds) == 4
     assert all(Atom("p") in w.additions and w.consistent for w in worlds)
     base = ("a", "b")
@@ -251,7 +268,7 @@ def test_insertion_worlds_digest():
                 changes = ["+%s" % a for a in w.additions] + ["-%s" % a for a in w.removals]
                 digest.update((" ".join(sorted(changes)) + "\n").encode())
     assert (goals, worlds) == (379, 215)
-    assert digest.hexdigest() == "096f64984384d69c38e9e6282ebda67873f395a664e9456379e1c01da77e7cbf"
+    assert digest.hexdigest() == "d937a0c3afe21b831394f0686282c9cfe27ce6adb0564dd57e3b626fa75cce85"
 
 
 SEARCH_MODEL_CORPORA = {
@@ -352,9 +369,9 @@ def test_kept_propagation_form_goes_with_its_database(path, goal):
 def test_alternative_helpers_are_kept_with_the_form(basic):
     # p and q each have several rules; a folded long body's helper is no
     # alternative
-    assert insertion._form(basic).alternative_helpers == {"_v1", "_v2", "_v3", "_v4"}
+    assert insertion._form(basic).alternative_helpers == {"_v.1", "_v.2", "_v.3", "_v.4"}
     folded = Database.parse(HELPER_NAMED_TEXT.replace("_v1", "w"))
-    assert [r.head.pred for r in insertion._form(folded).helpers] == ["_v1"]
+    assert [r.head.pred for r in insertion._form(folded).helpers] == ["_v.1"]
     assert insertion._form(folded).alternative_helpers == frozenset()
 
 
@@ -458,8 +475,16 @@ def test_magic_program_shapes():
     got = [str(r) for r in magic_program(rules)]
     assert got == [
         "p(X) :- @p(X), e(X,Y), f(Y)",
-        "@e(X,Y) :- @p(X)",
-        "@f(Y) :- @p(X), e(X,Y)",
+    ]
+
+
+def test_magic_program_guards_defined_predicates_only():
+    rules = parse_program("p(X) :- e(X, Y), q(Y).\nq(Y) :- f(Y).\n")
+    got = [str(r) for r in magic_program(rules)]
+    assert got == [
+        "p(X) :- @p(X), e(X,Y), q(Y)",
+        "@q(Y) :- @p(X), e(X,Y)",
+        "q(Y) :- @q(Y), f(Y)",
     ]
 
 
