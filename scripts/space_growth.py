@@ -11,7 +11,9 @@ open branches and expansions of the complement-split tableau that
 deletion_candidates builds on these monotone databases, with a log-log
 exponent for its open branches (1 is linear), and the states the insertion
 world search visits when it inserts p1 into the chain with the last link's
-two facts removed, with a log-log exponent as well.
+two facts removed, and the size of the missing-support family revision
+stores from for p1 with the middle link's two facts removed, each with a
+log-log exponent as well (0 is constant).
 """
 
 import argparse
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 sys.path.insert(0, "src")
 
 from vud.deletion import build_tableau, delete_request, deletion_program
+from vud.explain import missing_support
 from vud.insertion import insertion_worlds
 from vud.lang import Atom, SearchLog
 from vud.randgen import chain_database
@@ -46,6 +49,8 @@ class Measurement:
     split_seconds: float
     insert_states: int  # of the world search inserting p1 without an and bn
     insert_seconds: float
+    revise_sets: int  # missing-support sets of p1 without a(ceil(n/2)) and b(ceil(n/2))
+    revise_seconds: float
 
 
 def measure(n: int) -> Measurement:
@@ -60,6 +65,9 @@ def measure(n: int) -> Measurement:
     log = SearchLog.for_request(cut, (Atom("p1"),))
     insertion_worlds(cut, Atom("p1"), log)
     inserted = time.perf_counter()
+    middle_link = (n + 1) // 2
+    family = missing_support(db.with_edb(db.edb - {Atom("a%d" % middle_link), Atom("b%d" % middle_link)}), Atom("p1"))
+    revised = time.perf_counter()
     return Measurement(
         n=n,
         peak_live=tableau.peak_live,
@@ -71,6 +79,8 @@ def measure(n: int) -> Measurement:
         split_seconds=end - middle,
         insert_states=log.states,
         insert_seconds=inserted - end,
+        revise_sets=len(family),
+        revise_seconds=revised - inserted,
     )
 
 
@@ -103,11 +113,11 @@ def run(config: GrowthConfig) -> list[Measurement]:
 
 def report(rows: list[Measurement]) -> str:
     header = ("n", "peak_live", "open_branches", "expansions", "seconds", "split_open", "split_expansions", "split_s",
-              "insert_states", "insert_s")
-    lines = ["%4s %10s %14s %12s %9s %11s %17s %9s %14s %9s" % header]
+              "insert_states", "insert_s", "revise_sets", "revise_s")
+    lines = ["%4s %10s %14s %12s %9s %11s %17s %9s %14s %9s %12s %9s" % header]
     for r in rows:
         lines.append(
-            "%4d %10d %14d %12d %9.3f %11d %17d %9.3f %14d %9.3f"
+            "%4d %10d %14d %12d %9.3f %11d %17d %9.3f %14d %9.3f %12d %9.3f"
             % (
                 r.n,
                 r.peak_live,
@@ -119,6 +129,8 @@ def report(rows: list[Measurement]) -> str:
                 r.split_seconds,
                 r.insert_states,
                 r.insert_seconds,
+                r.revise_sets,
+                r.revise_seconds,
             )
         )
     lines.append("")
@@ -134,6 +146,10 @@ def report(rows: list[Measurement]) -> str:
     lines.append(
         "insertion world states: log-log fit exponent %.3f (1 is linear)"
         % polynomial_exponent(rows, lambda r: r.insert_states)
+    )
+    lines.append(
+        "revise missing-support sets: log-log fit exponent %.3f (0 is constant)"
+        % polynomial_exponent(rows, lambda r: r.revise_sets)
     )
     return "\n".join(lines)
 

@@ -486,7 +486,8 @@ class Database:
     # The derivations below are computed on first use and kept on the
     # instance; equality and hashing ignore them.  semantics.least_model
     # and semantics.check_ic keep the model and the violations on the
-    # instance the same way, and nothing else is kept on it.
+    # instance the same way, explain the goals whose view atoms reach
+    # themselves, and nothing else is kept on it.
 
     @functools.cached_property
     def rules(self) -> tuple[Rule, ...]:

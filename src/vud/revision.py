@@ -49,7 +49,9 @@ def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction
 
     Inserting: one missing support set must be stored whole, so each
     minimal member is a candidate, even one that misses the goal once
-    stored because a negated subgoal turns false; revise checks it.
+    stored because a negated subgoal turns false; revise checks it.  The
+    family comes from one visit per view atom (explain.missing_support),
+    so no proof tree is built unless a view atom reaches itself.
     """
     model = least_model(db)
     if operation == "delete":

@@ -35,6 +35,9 @@ every base atom over a given set of constants.
 propagation_rules, with delta_add and delta_remove, displays the cases of
 the world search as a delta program over +p/-p atoms; no production code
 reads it.
+tree_missing_support is the missing-support family as vud.explain built it
+before it visited each view atom once: the unique assumption sets of the
+hypothesising proof tree, in proof order.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from vud.deletion import deletion_candidates
 from vud.insertion import ADD, REMOVE, derivable, normalize_rules
 from vud.lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, breadth_first, ground_program, is_variable,
-    stratify,
+    stratify, unique,
 )
-from vud.semantics import check_ic, fixpoint_model, least_model, reduct
+from vud.semantics import build_proof_tree, check_ic, fixpoint_model, least_model, reduct
 
 
 def _ground_instances(rule: Rule, consts: Sequence[str]) -> list[Rule]:
@@ -718,3 +721,7 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
                         )
                     )
     return tuple(out)
+
+
+def tree_missing_support(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
+    return unique(build_proof_tree(db, atom, hypothesize=True).hypothesised_sets())

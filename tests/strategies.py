@@ -1,11 +1,19 @@
-"""Shared hypothesis strategies producing small random databases, and
-long_chain_text, a fixed family of long ones."""
+"""Shared hypothesis strategies producing small random databases,
+long_chain_text, a fixed family of long ones, and the bench corpus
+workload's generator configuration."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from vud.lang import Atom, Database, Literal, Rule, fact
+from vud.randgen import GeneratorConfig
 from vud.semantics import least_model
+
+# the configuration of bench/workloads.CORPUS_CONFIG
+BENCH_CORPUS = GeneratorConfig(
+    view_count=4, base_count=4, constant_count=4, extra_body_vars=0,
+    negation=True, constraints=True, acyclic=True,
+)
 
 BASE = ["a", "b", "c", "d"]
 VIEW = ["p", "q", "r"]
@@ -74,10 +82,11 @@ def dbs_with_underivable_goal(draw, negation: bool = False, with_ic: bool = Fals
     return db, draw(st.sampled_from(missing))
 
 
-def long_chain_text(n: int) -> str:
+def long_chain_text(n: int, drop: int | None = None) -> str:
     """p0 :- a0, p1.  ...  p(n-1) :- a(n-1), pn.  pn :- an.  with every a_i
-    stored: the propositional chain of the benchmark's chain workload."""
+    stored but a_drop: the propositional chain of the benchmark's chain
+    workload."""
     lines = ["p%d :- a%d, p%d." % (i, i, i + 1) for i in range(n)]
     lines.append("p%d :- a%d." % (n, n))
-    lines += ["a%d." % i for i in range(n + 1)]
+    lines += ["a%d." % i for i in range(n + 1) if i != drop]
     return "\n".join(lines) + "\n"

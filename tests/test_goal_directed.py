@@ -2,12 +2,13 @@
 
 Proof trees look up a view atom's rule instances through
 semantics.RuleInstances, which grounds only the rules whose head matches the
-atom.  support_union and missing_union visit each view atom the goal
-reaches once instead of listing proof branches, and fall back to the trees
-when a view atom reaches itself.  The differential tests compare both with
-the whole ground program (oracles.grounded_instances) and with the unions of
-the explanation families; the guard tests count the work instead of timing
-it, by making the slow path raise.
+atom.  support_union, missing_union and missing_support visit each view
+atom the goal reaches once instead of listing proof branches, and fall back
+to the trees when a view atom reaches itself.  The differential tests
+compare them with the whole ground program (oracles.grounded_instances),
+with the unions of the explanation families and with the hypothesising
+trees (oracles.tree_missing_support); the guard tests count the work
+instead of timing it, by making the slow path raise.
 """
 
 import itertools
@@ -17,11 +18,12 @@ from vud import explain, lang, semantics
 from vud.engine import UpdateRequest, view_update
 from vud.explain import local_explanations, missing_support, missing_union, support_union
 from vud.lang import Atom, Database, Transaction
-from vud.randgen import GeneratorConfig, chain_database, random_database
-from vud.revision import rationality_report
+from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
+from vud.revision import contract, rationality_report, revise
 from vud.semantics import build_proof_tree
 
-from oracles import grounded_instances
+from oracles import grounded_instances, tree_missing_support
+from strategies import BENCH_CORPUS, long_chain_text
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SEEDS = range(40)
@@ -99,6 +101,99 @@ def test_chain_unions_build_no_tree(monkeypatch):
     assert support_union(db, Atom("p1")) == db.edb
     gap = frozenset({Atom("a10"), Atom("b10")})
     assert missing_union(db.with_edb(db.edb - gap), Atom("p1")) == gap
+
+
+def _cut_chains() -> list[tuple[str, Database]]:
+    """Two-support chains of 1 to 10 links with one link's two facts
+    removed, and propositional chains of 1 to 30 links with one fact
+    removed, every link in turn."""
+    dbs = []
+    for n in range(1, 11):
+        db = chain_database(n)
+        dbs += [("chain%d-%d" % (n, k), db.with_edb(db.edb - {Atom("a%d" % k), Atom("b%d" % k)})) for k in range(1, n + 1)]
+    dbs += [("long%d-%d" % (n, k), Database.parse(long_chain_text(n, k))) for n in range(1, 31) for k in range(n + 1)]
+    return dbs
+
+
+def test_missing_support_matches_the_tree(monkeypatch):
+    walked = []
+    real = explain._tabled
+
+    def counted(db, goal, hypothesize, fold):
+        found = real(db, goal, hypothesize, fold)
+        walked.append(found is not None)
+        return found
+
+    monkeypatch.setattr(explain, "_tabled", counted)
+    dbs = _corpus() + [("bench-corpus/%d" % s, random_database(s, BENCH_CORPUS)) for s in range(300)] + _cut_chains()
+    goals = 0
+    for name, db in dbs:
+        consts = sorted(db.universe() | {"outside"})
+        base = [Atom(p, args) for p in sorted(db.base_predicates) for args in itertools.product(consts, repeat=db.arities[p])]
+        stored = [a for a in base if a in db.edb][:3]
+        absent = [a for a in base if a not in db.edb][:3]
+        views = [Atom(p, args) for p in sorted(db.view_predicates) for args in itertools.product(consts, repeat=db.arities[p])]
+        for goal in views + stored + absent:
+            assert missing_support(db, goal) == tree_missing_support(db, goal), (name, goal)
+            goals += 1
+    assert goals > 30000
+    # the walk answered most goals; the rest went through the fallback
+    assert walked.count(True) > 25000 and walked.count(False) > 250
+
+
+def test_chain_revise_builds_no_tree(monkeypatch):
+    # p1 misses one link of 30: the tree would have 2^29 branches, the
+    # family two sets
+    db = chain_database(30)
+    monkeypatch.setattr(explain, "build_proof_tree", _forbidden)
+    cut = db.with_edb(db.edb - {Atom("a15"), Atom("b15")})
+    assert revise(cut, Atom("p1")) == (Transaction(frozenset({Atom("a15")})), Transaction(frozenset({Atom("b15")})))
+
+
+def test_a_goal_that_reaches_itself_is_walked_once(monkeypatch):
+    # missing_union falls back through missing_support, which goes to the
+    # tree without a second walk, and later calls on the database walk not
+    # at all
+    db = random_database(0, GeneratorConfig())
+    goal = next(g for g in _goals(db) if explain._tabled(db, g, True, explain._UNIONS) is None)
+    walks = []
+    monkeypatch.setattr(explain, "RuleInstances", lambda *args: walks.append(args) or semantics.RuleInstances(*args))
+    db = random_database(0, GeneratorConfig())
+    assert missing_union(db, goal) == frozenset().union(*tree_missing_support(db, goal))
+    assert len(walks) == 1
+    assert missing_support(db, goal) == tree_missing_support(db, goal)
+    assert support_union(db, goal) == frozenset().union(*local_explanations(db, goal))
+    assert len(walks) == 1
+
+
+REVISION_CONFIGS = {
+    "denials": GeneratorConfig(constraints=True),
+    "negation": GeneratorConfig(negation=True, constraints=True),
+    "existential": GeneratorConfig(negation=True, constraints=True, extra_body_vars=1),
+    "acyclic": GeneratorConfig(negation=True, constraints=True, acyclic=True),
+}
+
+
+def _change_answers() -> list:
+    out: list = []
+    for cfg in REVISION_CONFIGS.values():
+        for seed in range(150):
+            db = random_database(seed, cfg)
+            for k in range(2):
+                goal = random_ground_atom(db, 7 * seed + k)
+                for change in (revise, contract):
+                    try:
+                        out.append(change(db, goal))
+                    except ValueError as error:
+                        out.append(str(error))
+    return out
+
+
+def test_revise_and_contract_answer_as_through_the_trees(monkeypatch):
+    walked = _change_answers()
+    monkeypatch.setattr(explain, "_tabled", lambda *args: None)
+    assert walked == _change_answers()
+    assert sum(len(a) > 1 for a in walked if isinstance(a, tuple)) > 50
 
 
 def staff_database(n: int) -> Database:

@@ -33,7 +33,7 @@ from oracles import (
     base_atoms, brute_transactions, delta_add, delta_remove, normalized_model, propagation_rules,
     whole_key_worlds,
 )
-from strategies import dbs_with_underivable_goal, positive_dbs, view_goals
+from strategies import BENCH_CORPUS, dbs_with_underivable_goal, positive_dbs, view_goals
 
 
 def atoms(*names: str) -> frozenset[Atom]:
@@ -276,11 +276,7 @@ SEARCH_MODEL_CORPORA = {
     "acyclic": GeneratorConfig(acyclic=True),
     "negation+denials": GeneratorConfig(negation=True, constraints=True),
     "extra-body-vars-1": GeneratorConfig(extra_body_vars=1),
-    # the bench corpus workload's configuration
-    "bench-corpus": GeneratorConfig(
-        view_count=4, base_count=4, constant_count=4, extra_body_vars=0,
-        negation=True, constraints=True, acyclic=True,
-    ),
+    "bench-corpus": BENCH_CORPUS,
 }
 
 
