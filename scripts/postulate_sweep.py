@@ -3,9 +3,15 @@ against the rationality postulates.
 
 For every seeded database the script picks one deletion goal (a derivable
 view atom) or one insertion goal (an absent view atom some rule head could
-produce), runs the update under each variant, and grades every returned
-transaction.  The output is a per-postulate satisfaction table plus counts
-of skipped seeds (no usable goal) and give-ups (no transaction found).
+produce), runs the update under the chosen variant, and grades every returned
+transaction.  The output is a per-postulate satisfaction table for each
+operation plus counts of skipped seeds (no usable goal) and give-ups (no
+transaction found).  A violation of a postulate that its operation does
+not guarantee (CONTRACTION_GUARANTEES for deletes, REVISION_GUARANTEES for
+inserts) is shown in parentheses.  The script exits 1, naming the seed and
+the postulate, when a transaction of the minimal variant breaks a
+guarantee; the materialized variant does not promise strong relevance, so
+its sweep only reports.
 """
 
 import argparse
@@ -20,7 +26,7 @@ sys.path.insert(0, "src")
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.lang import Atom, Database, is_variable
 from vud.randgen import GeneratorConfig, random_database, random_ground_atom
-from vud.revision import CONTRACTION_GUARANTEES, rationality_report
+from vud.revision import CONTRACTION_GUARANTEES, REVISION_GUARANTEES, rationality_report
 from vud.semantics import least_model
 
 
@@ -75,6 +81,9 @@ def pick_goal(db: Database, seed: int, op: str) -> Atom | None:
     return None
 
 
+GUARANTEES = {"delete": CONTRACTION_GUARANTEES, "insert": REVISION_GUARANTEES}
+
+
 @dataclass
 class SweepResult:
     graded: int = 0
@@ -83,8 +92,11 @@ class SweepResult:
     seconds: float = 0.0
 
     def __post_init__(self):
-        self.satisfied: Counter[str] = Counter()
-        self.violated: Counter[str] = Counter()
+        # keyed by (operation, postulate)
+        self.satisfied: Counter[tuple[str, str]] = Counter()
+        self.violated: Counter[tuple[str, str]] = Counter()
+        # (seed, operation, goal, transaction, postulate) per broken guarantee
+        self.broken: list[tuple[int, str, Atom, str, str]] = []
 
 
 def run(cfg: SweepConfig) -> SweepResult:
@@ -112,7 +124,9 @@ def run(cfg: SweepConfig) -> SweepResult:
             result.graded += 1
             report = rationality_report(db, goal, tx, op)
             for name, ok in report.items():
-                (result.satisfied if ok else result.violated)[name] += 1
+                (result.satisfied if ok else result.violated)[op, name] += 1
+                if not ok and name in GUARANTEES[op]:
+                    result.broken.append((seed, op, goal, str(tx), name))
     result.seconds = time.perf_counter() - start
     return result
 
@@ -124,13 +138,20 @@ def format_table(cfg: SweepConfig, result: SweepResult) -> str:
         "graded %d transactions, %d skipped seeds, %d give-ups, %.1fs"
         % (result.graded, result.skipped, result.give_ups, result.seconds),
         "",
-        "%-22s %9s %9s" % ("postulate", "satisfied", "violated"),
+        "%-22s %19s %19s" % ("", "delete", "insert"),
+        "%-22s %9s %9s %9s %9s" % ("postulate", "satisfied", "violated", "satisfied", "violated"),
     ]
     for name in CONTRACTION_GUARANTEES:
-        lines.append(
-            "%-22s %9d %9d"
-            % (name, result.satisfied.get(name, 0), result.violated.get(name, 0))
-        )
+        cells = []
+        for op in ("delete", "insert"):
+            violated = result.violated[op, name]
+            shown = "%d" % violated if name in GUARANTEES[op] else "(%d)" % violated
+            cells += ["%d" % result.satisfied[op, name], shown]
+        lines.append("%-22s %9s %9s %9s %9s" % (name, *cells))
+    lines.append("")
+    lines.append("guarantees broken: %d" % len(result.broken))
+    for seed, op, goal, tx, name in result.broken:
+        lines.append("seed %d: %s %s by %s breaks %s" % (seed, op, goal, tx, name))
     return "\n".join(lines)
 
 
@@ -153,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         negation=args.negation,
         acyclic=not args.cyclic,
     )
-    print(format_table(cfg, run(cfg)))
-    return 0
+    result = run(cfg)
+    print(format_table(cfg, result))
+    return 1 if cfg.variant == "minimal" and result.broken else 0
 
 
 if __name__ == "__main__":

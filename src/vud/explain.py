@@ -9,13 +9,14 @@ almost-proof needs.
 
 The unions the postulate audit asks for (support_union, missing_union) and
 the missing-support family revision stores from (missing_support) take one
-visit per view atom the goal reaches, not one per proof branch; only when
-such an atom reaches itself do they come from the proof trees.
+visit per view atom the goal's proof tree expands, not one per proof
+branch; only when such an atom reaches itself, where the tree has a loop
+leaf, do they come from the proof trees.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .lang import EQ, Atom, Database, Literal, antichain, unique
 from .semantics import RuleInstances, build_proof_tree, least_model, literal_holds
@@ -90,73 +91,80 @@ _FAMILIES: _Fold = (lambda b: (frozenset([b]),), _product, _concat)
 
 def _tabled(db: Database, goal: Atom, hypothesize: bool, fold: _Fold) -> V | None:
     """goal's successful proof branches folded from one post-order visit
-    per view atom the goal reaches; None when one of those reaches itself,
-    where the tree's loop check makes a subgoal's branches depend on its
-    path.  Such a goal is kept on the database, so later calls go to the
-    trees without a walk.
+    per view atom the goal's tree expands; None when one of those reaches
+    itself, where the tree's loop check makes a subgoal's branches depend
+    on its path.  Such a goal is kept on the database with the mode, so
+    later calls in that mode go to the trees without a walk.
 
     A base fact is unit(b) when the branch uses it (stored) or, with
     hypothesize, assumes it (absent); a stored fact with hypothesize and a
     negated or eq literal that holds are times(()); any other literal
     fails its branch.  An instance's value is times of its body literals'
-    values in order, and a view atom's plus of its succeeding instances'
-    in order.
+    values, folded left to right: a view subgoal is visited when the fold
+    reaches it, where the tree expands it, and without hypothesize a view
+    atom outside the model fails unvisited.  A view atom's value is plus
+    of its succeeding instances' values in order.
     """
     if not goal.is_ground:
         raise ValueError("explanations require a ground goal, got %s" % goal)
     kept = vars(db)
-    if goal in kept.get("_self_reaching", ()):
+    if (goal, hypothesize) in kept.get("_self_reaching", ()):
         return None
     unit, times, plus = fold
+    model = least_model(db)
     view = db.view_predicates - {EQ}
     # None for a literal that fails and a view atom none of whose
     # instances succeeds
     values: dict[Atom, V | None] = {}
 
+    def visited(b: Atom) -> bool:
+        return b.pred in view and (hypothesize or b in model)
+
     def value(lit: Literal) -> V | None:
         b = lit.atom
         if b.pred == EQ or lit.negated:
-            return times(()) if literal_holds(lit, least_model(db)) else None
+            return times(()) if literal_holds(lit, model) else None
         if b.pred in view:
-            return values[b]
+            return values[b] if visited(b) else None
         if (b in db.edb) != hypothesize:
             return unit(b)
         return times(()) if hypothesize else None
 
-    if goal.pred in view:
+    def fold_instances(atom: Atom) -> Iterator[Atom]:
+        """Yields each view subgoal the fold reaches unvalued, which must be
+        valued before the fold resumes; values atom at the end."""
+        branches = []
+        for r in instances[atom]:
+            got = []
+            for lit in r.body:
+                if not lit.negated and visited(lit.atom) and lit.atom not in values:
+                    yield lit.atom
+                v = value(lit)
+                if v is None:
+                    break
+                got.append(v)
+            else:
+                branches.append(times(got))
+        values[atom] = plus(branches) if branches else None
+
+    if visited(goal):
         instances = RuleInstances(db.idb, db.universe() | set(goal.args))
-
-        def subgoals(a: Atom):
-            return (l.atom for r in instances[a] for l in r.body if not l.negated and l.atom.pred in view)
-
         # an explicit stack, since deep chains go deeper than the recursion
         # limit
         path = {goal}
-        stack = [(goal, subgoals(goal))]
+        stack = [(goal, fold_instances(goal))]
         while stack:
-            atom, todo = stack[-1]
-            for b in todo:
-                if b in path:
-                    kept.setdefault("_self_reaching", set()).add(goal)
-                    return None
-                if b not in values:
-                    path.add(b)
-                    stack.append((b, subgoals(b)))
-                    break
-            else:
+            atom, folding = stack[-1]
+            b = next(folding, None)
+            if b is None:
                 stack.pop()
                 path.discard(atom)
-                branches = []
-                for r in instances[atom]:
-                    got = []
-                    for lit in r.body:
-                        v = value(lit)
-                        if v is None:
-                            break
-                        got.append(v)
-                    else:
-                        branches.append(times(got))
-                values[atom] = plus(branches) if branches else None
+            elif b in path:
+                kept.setdefault("_self_reaching", set()).add((goal, hypothesize))
+                return None
+            else:
+                path.add(b)
+                stack.append((b, fold_instances(b)))
     found = value(Literal(goal))
     return plus(()) if found is None else found
 

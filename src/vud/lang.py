@@ -425,10 +425,6 @@ class Violation:
         return "%s: %s" % (self.kind, self.message)
 
 
-class Universe(frozenset):
-    """A database's constants: those of every atom it stores or derives."""
-
-
 class Database:
     """An ordered clause list partitioned into view rules, facts and denials.
 
@@ -529,7 +525,7 @@ class Database:
     @functools.cached_property
     def _universe(self) -> frozenset[str]:
         terms = {t for a in self.edb for t in a.args}
-        return Universe(self._rule_constants.union(t for t in terms if not is_variable(t)))
+        return self._rule_constants.union(t for t in terms if not is_variable(t))
 
     @functools.cached_property
     def _rule_constants(self) -> frozenset[str]:

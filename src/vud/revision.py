@@ -154,7 +154,9 @@ def _finalize(
 def contract(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     """Fact removals after which atom is no longer derivable, smallest
     first.  Constraint violations caused by a removal are repaired on the
-    spot; repairs may not resurrect the atom."""
+    spot; repairs may not resurrect the atom.  Raises ValueError for an
+    atom that is no update goal of db (see lang.check_goal)."""
+    check_goal(db, atom)
     if atom not in least_model(db):
         return (Transaction(),)
     return _finalize(db, atom, kernel_change(db, atom, "delete"), False)

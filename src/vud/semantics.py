@@ -6,8 +6,10 @@ looked up in the finished lower strata.  Rules are evaluated as joins, not
 grounded: a rule body's positive literals are joined left to right through
 hash indexes on their bound argument positions, negated and eq literals are
 tested once every variable is bound, and a variable no positive literal
-binds ranges over the constant universe.  After a stratum's first round,
-only rules with a subgoal whose predicate gained atoms are joined again,
+binds ranges over the universe.  Every evaluation is given its universe,
+a set that holds every constant of its rules and atoms: the database's
+own (Database.universe()), or more.  After a stratum's first round, only
+rules with a subgoal whose predicate gained atoms are joined again,
 reading that subgoal from the new atoms.  Compiled rule sets are kept for
 the few databases in use, keyed by the identities of their rules.
 
@@ -31,8 +33,10 @@ Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
 Instances are listed in the order grounding over the universe would list
 them, so a constraint check's first violation does not depend on how the
-model was computed.  Only the reduct (every ground instance, firing or not)
-still grounds over the universe.
+model was computed.  Three places still range rule variables over every
+constant instead of joining: the reduct (every ground instance, firing or
+not), RuleInstances (the instances proof trees and explain's walk unfold)
+and insertion._options_for_add (the values of a variable outside the head).
 
 Proof search is resolution over the ground program with leftmost literal
 selection; view atoms unfold through every matching rule in program order,
@@ -48,7 +52,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from .lang import (
     EQ,
@@ -56,7 +60,6 @@ from .lang import (
     Database,
     Literal,
     Rule,
-    Universe,
     ground_program,
     is_variable,
     stratify,
@@ -181,13 +184,13 @@ class _Program:
     """A rule sequence prepared for joining.
 
     Up front it records each rule's positive ordinary subgoals (body
-    position, predicate and arity); plans, the rules' constants and the
-    strata are built on first use, and so are the forms other layers derive
-    from the rules alone (kept_form).  It holds no reference to the rules,
-    which callers pass in again, so it goes when they do.
+    position, predicate and arity); plans and the strata are built on
+    first use, and so are the forms other layers derive from the rules
+    alone (kept_form).  It holds no reference to the rules, which callers
+    pass in again, so it goes when they do.
     """
 
-    __slots__ = ("uses", "refs", "forms", "_plans", "_delta", "_consts", "_strata")
+    __slots__ = ("uses", "refs", "forms", "_plans", "_delta", "_strata")
 
     def __init__(self, rules: tuple[Rule, ...]):
         self.uses = tuple([
@@ -198,7 +201,6 @@ class _Program:
         self.forms: dict[Callable[..., object], object] = {}
         self._plans: list[_Plan | None] = [None] * len(rules)
         self._delta: dict[tuple[int, int], _Plan] = {}
-        self._consts: frozenset[str] | None = None
         self._strata: list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]] | None = None
 
     def plan(self, rules: tuple[Rule, ...], n: int, position: int | None = None) -> _Plan:
@@ -214,17 +216,6 @@ class _Program:
         if delta is None:
             delta = self._delta[n, position] = _Plan(rules[n], position)
         return delta
-
-    def constants(self, rules: tuple[Rule, ...]) -> frozenset[str]:
-        if self._consts is None:
-            self._consts = frozenset(
-                t
-                for r in rules
-                for a in ([r.head] if r.head is not None else []) + [l.atom for l in r.body]
-                for t in a.args
-                if not is_variable(t)
-            )
-        return self._consts
 
     def strata(self, rules: tuple[Rule, ...]) -> list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]]:
         """Per stratum, lowest first: its rules, and for each predicate the
@@ -300,13 +291,11 @@ class _Joins:
 
     An index is built the first time a join step asks for its positions and
     kept up to date as atoms are added; everything lives for one call.
-    Variables range over the universe, as they would when grounding over
-    it: a binding that takes a value outside the universe from a stored
-    atom is dropped.  Without a universe, the constants of the atoms and the
-    rule constants consts make it up.
+    Variables no stored atom binds range over the universe, a set that
+    holds every constant of the atoms and of the rules joined against them.
     """
 
-    def __init__(self, atoms: Iterable[Atom], consts: frozenset[str], universe: Iterable[str] | None = None):
+    def __init__(self, atoms: Iterable[Atom], universe: Collection[str]):
         self.rows: dict[_Key, _Rows] = {}
         self._indexes: dict[_Key, dict[tuple[int, ...], tuple[Callable, dict[object, list[tuple[str, ...]]]]]] = {}
         for a in atoms:
@@ -317,16 +306,7 @@ class _Joins:
                 self.rows[key] = {args}
             else:
                 rows.add(args)
-        self._consts = consts
-        self._outside: frozenset[str] = frozenset()
-        self._universe: list[str] | None = None
-        if universe is not None:
-            self._universe = sorted(set(universe))
-            stored = set() if isinstance(universe, Universe) else self._stored_constants()
-            self._outside = (stored | consts).difference(self._universe)
-
-    def _stored_constants(self) -> set[str]:
-        return {c for rows in self.rows.values() for args in rows for c in args}
+        self._universe = universe
 
     def empty(self, uses: tuple[tuple[int, _Key], ...]) -> bool:
         """Does some positive subgoal have no atoms to join with?"""
@@ -352,7 +332,6 @@ class _Joins:
     def bindings(self, plan: _Plan, delta: dict[_Key, _Rows] | None = None) -> list[tuple[str, ...]]:
         """Every binding of the plan's variables, in slot order, under which
         its body holds; a delta plan's first step reads the delta."""
-        outside = self._outside
         found: list[tuple[str, ...]] = [()]
         for n, (key, terms, positions, keyof, pick, repeats) in enumerate(plan.steps):
             index = None
@@ -375,16 +354,11 @@ class _Joins:
                 for args in source:
                     if repeats and any(args[p] != args[q] for p, q in repeats):
                         continue
-                    new = pick(args)
-                    if outside and not outside.isdisjoint(new):
-                        continue
-                    grown.append(b + new)
+                    grown.append(b + pick(args))
             found = grown
             if not found:
                 return found
         if plan.free:
-            if self._universe is None:
-                self._universe = sorted(self._stored_constants() | self._consts)
             combos = list(itertools.product(self._universe, repeat=plan.free))
             found = [b + combo for b in found for combo in combos]
         for key, negated, terms in plan.tests:
@@ -447,34 +421,30 @@ class _Joins:
 
 
 def firing_instances(
-    rules: Iterable[Rule], model: frozenset[Atom], universe: Iterable[str]
+    rules: Iterable[Rule], model: frozenset[Atom], universe: Collection[str]
 ) -> tuple[Rule, ...]:
     """Ground instances of the rules over the universe whose body holds in
     the model, rule by rule, each rule's in the order ground_program lists
-    them."""
+    them.  The universe holds every constant of the rules and the model."""
     rules = tuple(rules)
-    program = _compiled(rules)
-    return tuple(_Joins(model, program.constants(rules), universe).instances(program, rules))
+    return tuple(_Joins(model, universe).instances(_compiled(rules), rules))
 
 
-def fixpoint_model(
-    rules: Sequence[Rule],
-    facts: Iterable[Atom],
-    universe: Iterable[str] | None = None,
-) -> frozenset[Atom]:
+def fixpoint_model(rules: Sequence[Rule], facts: Iterable[Atom], universe: Collection[str]) -> frozenset[Atom]:
     """Perfect model of the given rules over the given facts.
 
-    Variables range over the universe, by default the constants of the
-    rules and facts.  Strata are evaluated bottom up, each semi-naively:
-    the first round joins every rule of the stratum against the model, and
-    each later round joins only the rules with a same-stratum positive
-    subgoal whose predicate gained atoms in the round before, reading that
-    subgoal from those new atoms.
+    Variables range over the universe, which holds every constant of the
+    rules and facts (a database's own, Database.universe(), or more).
+    Strata are evaluated bottom up, each semi-naively: the first round
+    joins every rule of the stratum against the model, and each later
+    round joins only the rules with a same-stratum positive subgoal whose
+    predicate gained atoms in the round before, reading that subgoal from
+    those new atoms.
     """
     rules = tuple(r for r in rules if r.head is not None and r.body)
     program = _compiled(rules)
     facts = frozenset(facts)
-    return facts.union(_Joins(facts, program.constants(rules), universe).saturate(program, rules))
+    return facts.union(_Joins(facts, universe).saturate(program, rules))
 
 
 def least_model(db: Database) -> frozenset[Atom]:
@@ -493,10 +463,10 @@ def least_model(db: Database) -> frozenset[Atom]:
 def check_ic(db: Database) -> tuple[Rule, ...]:
     """Ground instances of denial constraints whose body holds in the model.
 
-    Variables range over the constants of the model and the clauses, and
-    instances come denial by denial in the order ground_program lists them,
-    so the first violation is the same however the model was computed.
-    Empty result means every constraint is satisfied.  Computed on first
+    Variables range over the database's constants (Database.universe()),
+    and instances come denial by denial in the order ground_program lists
+    them, so the first violation is the same however the model was
+    computed.  Empty result means every constraint is satisfied.  Computed on first
     use and kept on the instance, as least_model keeps the model: a request
     checks the same changed database in its search, its verifying step and
     its audit.

@@ -51,20 +51,32 @@ def search_steps(monkeypatch) -> list[int]:
     return counts
 
 
+def _recorded(monkeypatch, real) -> list[tuple]:
+    """The (rules, atoms, universe) of every call of the evaluator entry
+    real made while the test runs, in call order, wrapped in every vud
+    module that binds it."""
+    calls: list[tuple] = []
+
+    @functools.wraps(real)
+    def recorded(rules, atoms, universe):
+        calls.append((tuple(rules), frozenset(atoms), frozenset(universe)))
+        return real(rules, atoms, universe)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "vud" or name.startswith("vud.")) and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, recorded)
+    return calls
+
+
 @pytest.fixture
 def model_computations(monkeypatch) -> list[tuple]:
     """The (rules, facts, universe) of every fixpoint_model call made while
-    the test runs, in call order; universe is None when the call names
-    none."""
-    calls: list[tuple] = []
-    real = semantics.fixpoint_model
+    the test runs, in call order."""
+    return _recorded(monkeypatch, semantics.fixpoint_model)
 
-    @functools.wraps(real)
-    def recorded(rules, facts, universe=None):
-        calls.append((tuple(rules), frozenset(facts), None if universe is None else frozenset(universe)))
-        return real(rules, facts, universe)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "vud" or name.startswith("vud.")) and getattr(module, "fixpoint_model", None) is real:
-            monkeypatch.setattr(module, "fixpoint_model", recorded)
-    return calls
+@pytest.fixture
+def firing_computations(monkeypatch) -> list[tuple]:
+    """The (rules, model, universe) of every firing_instances call made
+    while the test runs, in call order."""
+    return _recorded(monkeypatch, semantics.firing_instances)

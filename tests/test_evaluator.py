@@ -6,14 +6,17 @@ on seeded random corpora with negation, eq literals, body-only variables,
 unsafe variables and view cycles.
 """
 
+import functools
 import random
 
 import pytest
 
 from vud.deletion import deletion_program
+from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.insertion import magic_query
 from vud.lang import EQ, Atom, Database, Literal, Rule, ground_program, is_variable, parse_program
-from vud.randgen import GeneratorConfig, random_database
+from vud.randgen import GeneratorConfig, random_database, random_ground_atom
+from vud.revision import contract, revise
 from vud.semantics import check_ic, firing_instances, fixpoint_model, least_model
 
 from oracles import (
@@ -91,7 +94,7 @@ def test_models_match_grounding_and_naive(databases):
     for db in databases:
         model = least_model(db)
         assert model == grounded_fixpoint_model(db.idb, db.edb, db.universe())
-        assert fixpoint_model(db.idb, db.edb) == naive_model(db.idb, db.edb)
+        assert fixpoint_model(db.idb, db.edb, db.universe()) == naive_model(db.idb, db.edb)
 
 
 def test_constraint_violations_match_in_order(databases):
@@ -118,29 +121,14 @@ def _grounded_firing(rules, model, universe):
     )
 
 
-@pytest.mark.parametrize("shape", ["smaller", "larger"])
-def test_explicit_universe(databases, shape):
-    for seed, db in enumerate(databases):
-        consts = sorted(db.universe())
-        if shape == "smaller":
-            universe = set(random.Random(seed).sample(consts, len(consts) // 2))
-        else:
-            universe = set(consts) | {"z1", "z2"}
+@pytest.mark.parametrize("extra", [{"z1", "z2"}], ids=["larger"])
+def test_explicit_universe(databases, extra):
+    # a universe may hold constants beyond the database's own
+    for db in databases:
+        universe = db.universe() | extra
         model = fixpoint_model(db.idb, db.edb, universe)
         assert model == grounded_fixpoint_model(db.idb, db.edb, universe)
         assert firing_instances(db.rules, model, universe) == _grounded_firing(db.rules, model, universe)
-
-
-def test_universe_drops_bindings_outside_it():
-    rules = parse_program("p(X) :- q(X). r(c) :- q(a). s(X) :- r(X). t :- r(c).")
-    facts = [Atom("q", ("a",)), Atom("q", ("z",))]
-    model = fixpoint_model(rules, facts, {"a"})
-    assert model == grounded_fixpoint_model(rules, facts, {"a"})
-    # z and c lie outside the universe: stored and derived atoms may carry
-    # them, but no variable takes them; a constant in a rule still matches
-    assert Atom("p", ("z",)) not in model
-    assert Atom("s", ("c",)) not in model
-    assert {Atom("r", ("c",)), Atom("t"), Atom("p", ("a",))} <= model
 
 
 def test_unbound_variables_range_over_universe():
@@ -167,3 +155,43 @@ def test_magic_query_agrees_with_least_model():
                 derivable += goal in model
                 underivable += goal not in model
     assert derivable and underivable
+
+
+TRAFFIC_CONFIGS = (
+    GeneratorConfig(),
+    GeneratorConfig(negation=True, constraints=True),
+    GeneratorConfig(negation=True, constraints=True, extra_body_vars=1),
+    GeneratorConfig(acyclic=True, extra_body_vars=1, constant_count=2),
+)
+
+
+def _requests(db: Database, seed: int):
+    """An insert of a random view atom, a delete of a derivable one (or of
+    the same atom when none is), under both variants, and contract and
+    revise of each goal."""
+    inserted = random_ground_atom(db, seed)
+    present = sorted(a for a in least_model(db) if a.pred in db.view_predicates)
+    deleted = random.Random(seed).choice(present) if present else inserted
+    for variant in ("minimal", "materialized"):
+        yield functools.partial(view_update, db, UpdateRequest(inserts=(inserted,)), variant=variant)
+        yield functools.partial(view_update, db, UpdateRequest(deletes=(deleted,)), variant=variant)
+    yield functools.partial(revise, db, inserted)
+    yield functools.partial(contract, db, deleted)
+
+
+def test_every_evaluation_ranges_over_its_constants(model_computations, firing_computations):
+    # the evaluator takes a universe that holds every constant of the rules
+    # and atoms it joins; check the engine's own calls keep to that
+    for cfg in TRAFFIC_CONFIGS:
+        for seed in range(60):
+            db = random_database(seed, cfg)
+            for request in _requests(db, seed):
+                try:
+                    request()
+                except UnrealizableError:
+                    pass
+    assert len(model_computations) > 1000 and len(firing_computations) > 100
+    for rules, atoms, universe in model_computations + firing_computations:
+        used = {t for a in atoms for t in a.args}
+        used.update(t for r in rules for a in (r.head, *[l.atom for l in r.body]) if a is not None for t in a.args)
+        assert {t for t in used if not is_variable(t)} <= universe, (rules, atoms)

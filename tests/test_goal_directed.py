@@ -152,8 +152,9 @@ def test_chain_revise_builds_no_tree(monkeypatch):
 
 def test_a_goal_that_reaches_itself_is_walked_once(monkeypatch):
     # missing_union falls back through missing_support, which goes to the
-    # tree without a second walk, and later calls on the database walk not
-    # at all
+    # tree without a second walk, and later calls on the database in the
+    # same mode walk not at all; without hypothesize the walk reaches
+    # fewer atoms and may answer, so that mode walks at most once more
     db = random_database(0, GeneratorConfig())
     goal = next(g for g in _goals(db) if explain._tabled(db, g, True, explain._UNIONS) is None)
     walks = []
@@ -162,8 +163,27 @@ def test_a_goal_that_reaches_itself_is_walked_once(monkeypatch):
     assert missing_union(db, goal) == frozenset().union(*tree_missing_support(db, goal))
     assert len(walks) == 1
     assert missing_support(db, goal) == tree_missing_support(db, goal)
-    assert support_union(db, goal) == frozenset().union(*local_explanations(db, goal))
     assert len(walks) == 1
+    assert support_union(db, goal) == frozenset().union(*local_explanations(db, goal))
+    assert len(walks) <= 2
+    assert missing_union(db, goal) == frozenset().union(*tree_missing_support(db, goal))
+    assert len(walks) <= 2
+
+
+def test_the_walk_falls_back_only_where_the_tree_loops():
+    # the walk visits a view subgoal only where the tree expands it, so a
+    # self-reach it meets is a loop leaf of the tree it falls back to
+    fallbacks = {False: 0, True: 0}
+    for name, db in _corpus():
+        for goal in _goals(db):
+            if goal.pred not in db.view_predicates:
+                continue
+            for hypothesize in (False, True):
+                if explain._tabled(db, goal, hypothesize, explain._UNIONS) is None:
+                    tree = build_proof_tree(db, goal, hypothesize)
+                    assert any(l.kind == "loop" for l in tree.leaves()), (name, goal, hypothesize)
+                    fallbacks[hypothesize] += 1
+    assert fallbacks[False] and fallbacks[True]
 
 
 REVISION_CONFIGS = {

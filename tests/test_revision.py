@@ -247,6 +247,14 @@ def test_revise_rejects_goals_that_would_invalidate_the_database(basic):
             revise(basic, goal)
 
 
+def test_contract_rejects_goals_that_would_invalidate_the_database(staff):
+    # without the check these read as underivable and come back unchanged
+    for goal in (Atom("staff_chair", ("X", "gerhard")), Atom("staff_chair", ("a",)), Atom("eq", ("a", "a"))):
+        for change in (contract, revise):
+            with pytest.raises(ValueError):
+                change(staff, goal)
+
+
 def test_revise_repairs_existing_violation():
     # the atom is already derivable but the database breaks a constraint,
     # so revision hands back the repair
