@@ -31,8 +31,9 @@ from .lang import (
     stratify,
     validate,
 )
-from .semantics import build_proof_tree, check_ic, least_model, literal_holds, render_proof_tree
+from .semantics import build_proof_tree, check_ic, eq_holds, least_model, render_proof_tree
 from .engine import UnrealizableError, UpdateRequest, view_update
+from .insertion import derivable
 
 
 def parse_atom(text: str) -> Atom:
@@ -73,9 +74,11 @@ def load_database(path: str, err: IO[str]) -> Database | None:
 
 def _truth(db: Database, atom: Atom) -> str:
     """The answer to a query: eq is decided on its arguments, any other
-    atom by the model; an atom of another arity than db's is an error."""
+    atom by insertion.derivable; an atom of another arity than db's is an
+    error."""
     check_arity(db, atom)
-    return "true" if literal_holds(Literal(atom), least_model(db)) else "false"
+    holds = eq_holds(Literal(atom)) if atom.pred == EQ else derivable(db, atom)
+    return "true" if holds else "false"
 
 
 def _edb_line(db: Database) -> str:

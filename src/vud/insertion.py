@@ -32,9 +32,12 @@ with its compiled program (semantics.kept_form), where a changed database
 finds them again.  The world search reads the database's kept model plus
 the helper atoms, which the helper rules alone derive over that model.
 
-Derivability checks run on a goal-guarded rewriting of the rules so only
-atoms relevant to the goal are derived; guards (@p, again a name no program
-can spell) stand over the predicates some rule defines.
+Derivability (derivable, behind the minimality filter and vud query) reads
+the database's model when the database already holds it or has a negated
+literal.  Only a monotone database with no model yet is evaluated on a
+goal-guarded rewriting of the rules (magic_query), so only atoms relevant
+to the goal are derived; guards (@p, again a name no program can spell)
+stand over the predicates some rule defines.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
     is_variable, unique,
 )
-from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model, match_atom
+from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model, match_atom, model_kept
 
 ADD = "+"
 REMOVE = "-"
@@ -301,11 +304,13 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
 
 
 def derivable(db: Database, atom: Atom) -> bool:
-    """Goal-directed derivability: magic-guarded evaluation on a monotone
-    database (Database.monotone), full model computation otherwise."""
-    if not db.monotone:
-        return atom in least_model(db)
-    return magic_query(db, atom)
+    """Is atom in db's model?  Read from the model when db already holds it
+    (semantics.model_kept) or has a negated literal; otherwise answered by
+    goal-guarded evaluation, which derives only what a proof of atom could
+    touch and keeps nothing on db."""
+    if db.monotone and not model_kept(db):
+        return magic_query(db, atom)
+    return atom in least_model(db)
 
 
 def _world_transactions(db: Database, atom: Atom, log: SearchLog) -> tuple[Transaction, ...]:

@@ -22,12 +22,13 @@ found again.  The request's SearchLog keeps each changed database the
 request reaches, so a fact set that comes up again in the search, the
 verifying step or the audit is the same instance, whose model and
 violations are already there; the log, and with it every changed database
-it keeps, goes when the request returns.  Only kb_equivalent and derivable_without_facts (another
-universe), magic_query (other rules) and the insertion world search (its
-helper rules, over the kept model) call fixpoint_model themselves.  What
-other layers derive from a rule set alone (the propagation form of
-insertion, the rules by head predicate) is kept beside the rules' compiled
-program by kept_form.
+it keeps, goes when the request returns.  Only kb_equivalent and
+derivable_without_facts (another universe), magic_query (other rules, run
+by insertion.derivable on a monotone database with no model kept, see
+model_kept) and the insertion world search (its helper rules, over the kept
+model) call fixpoint_model themselves.  What other layers derive from a
+rule set alone (the propagation form of insertion, the rules by head
+predicate) is kept beside the rules' compiled program by kept_form.
 
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
@@ -256,8 +257,12 @@ def _compiled(rules: tuple[Rule, ...]) -> _Program:
         return program
     program = _COMPILED[key] = _Program(rules)
 
+    # the closure holds the dict: at interpreter exit the module global is
+    # set to None while rules kept past the module's teardown may still go
+    compiled = _COMPILED
+
     def forget(_: weakref.ref[Rule]) -> None:
-        _COMPILED.pop(key, None)
+        compiled.pop(key, None)
 
     program.refs = [weakref.ref(r, forget) for r in rules]
     if len(_COMPILED) > _COMPILED_MAX:
@@ -458,6 +463,11 @@ def least_model(db: Database) -> frozenset[Atom]:
     if model is None:
         model = kept["_model"] = fixpoint_model(db.idb, db.edb, db.universe())
     return model
+
+
+def model_kept(db: Database) -> bool:
+    """Does db already hold its model, so least_model(db) costs nothing?"""
+    return "_model" in vars(db)
 
 
 def check_ic(db: Database) -> tuple[Rule, ...]:

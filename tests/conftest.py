@@ -80,3 +80,18 @@ def firing_computations(monkeypatch) -> list[tuple]:
     """The (rules, model, universe) of every firing_instances call made
     while the test runs, in call order."""
     return _recorded(monkeypatch, semantics.firing_instances)
+
+
+@pytest.fixture
+def magic_queries(monkeypatch) -> list:
+    """The goal of every goal-guarded evaluation (insertion.magic_query)
+    started while the test runs, in call order."""
+    goals: list = []
+    real = insertion.magic_query
+
+    def counted(db, goal):
+        goals.append(goal)
+        return real(db, goal)
+
+    monkeypatch.setattr(insertion, "magic_query", counted)
+    return goals

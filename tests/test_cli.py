@@ -40,6 +40,21 @@ def test_query_eq_is_decided_on_its_arguments(capsys):
     assert run(capsys, "query", BASIC, "eq(a)") == (1, "", "error: eq takes exactly two arguments\n")
 
 
+CHAIN_TEXT = "p1 :- a1, p2.\np1 :- b1, p2.\np2 :- a2.\np2 :- b2.\na1.\nb1.\na2.\nb2.\n"
+
+
+def test_query_on_a_monotone_database_is_goal_directed(tmp_path, capsys, magic_queries):
+    chain = tmp_path / "chain.dl"
+    chain.write_text(CHAIN_TEXT)
+    assert run(capsys, "query", str(chain), "p1") == (0, "true\n", "")
+    chain.write_text("".join(line + "\n" for line in CHAIN_TEXT.splitlines() if line not in ("a2.", "b2.")))
+    assert run(capsys, "query", str(chain), "p1") == (0, "false\n", "")
+    assert magic_queries == [Atom("p1"), Atom("p1")]
+    # eq is decided on its arguments, not by the database
+    assert run(capsys, "query", BASIC, "eq(a,a)") == (0, "true\n", "")
+    assert len(magic_queries) == 2
+
+
 def test_query_wrong_arity_exits_1(capsys):
     # the message an update with the same atom gives
     wrong = (1, "", "error: p takes 0 arguments, got p(a)\n")

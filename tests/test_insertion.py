@@ -23,17 +23,17 @@ from vud.insertion import (
     search_model,
     view_definitions,
 )
-from vud.lang import Atom, Database, SearchLog, Transaction, parse_program
+from vud.lang import Atom, Database, SearchLog, Transaction, format_database, parse_program
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
 from vud.semantics import check_ic, fixpoint_model, kept_form, least_model
 
 import pytest
 
 from oracles import (
-    base_atoms, brute_transactions, delta_add, delta_remove, normalized_model, propagation_rules,
-    whole_key_worlds,
+    base_atoms, brute_transactions, delta_add, delta_remove, necessary_loop, normalized_model,
+    propagation_rules, whole_key_worlds,
 )
-from strategies import BENCH_CORPUS, dbs_with_underivable_goal, positive_dbs, view_goals
+from strategies import BENCH_CORPUS, dbs_with_underivable_goal, long_chain_text, positive_dbs, view_goals
 
 
 def atoms(*names: str) -> frozenset[Atom]:
@@ -522,6 +522,54 @@ def test_derivable_dispatches_on_negation(basic):
     assert derivable(basic, Atom("p"))
     negdb = Database.parse("p :- not b.\n")
     assert derivable(negdb, Atom("p"))
+
+
+@pytest.mark.parametrize("cfg", [
+    GeneratorConfig(acyclic=True),
+    GeneratorConfig(),
+    GeneratorConfig(negation=True, constraints=True),
+], ids=["acyclic", "cyclic", "negation"])
+def test_derivable_matches_the_model_on_both_routes(cfg, magic_queries):
+    derivable_atoms = underivable_atoms = 0
+    for seed in range(30):
+        db = random_database(seed, cfg)
+        model = fixpoint_model(db.idb, db.edb, db.universe())  # keeps nothing on db
+        consts = sorted(db.universe())
+        views = [Atom(p, args) for p in sorted(db.view_predicates)
+                 for args in itertools.product(consts, repeat=db.arities[p])]
+        before = len(magic_queries)
+        fresh = [derivable(db, a) for a in views]
+        # a monotone database with no model yet takes the magic route
+        assert len(magic_queries) - before == (len(views) if db.monotone else 0), seed
+        least_model(db)
+        before = len(magic_queries)
+        kept = [derivable(db, a) for a in views]
+        assert len(magic_queries) == before, seed
+        expected = [a in model for a in views]
+        assert fresh == expected and kept == expected, seed
+        derivable_atoms += sum(expected)
+        underivable_atoms += len(expected) - sum(expected)
+    assert derivable_atoms and underivable_atoms
+
+
+def _cut_chain(k: int) -> str:
+    """chain_database(6) without a_k and b_k, as the chain workload cuts it."""
+    db = chain_database(6)
+    return format_database(db.with_edb(a for a in db.edb if a.pred not in ("a%d" % k, "b%d" % k)))
+
+
+@pytest.mark.parametrize("text, goal", [
+    *(pytest.param(_cut_chain(k), Atom("p1"), id="two-support-cut%d" % k) for k in range(1, 7)),
+    *(pytest.param(long_chain_text(12, drop), Atom("p0"), id="long-drop%d" % drop) for drop in range(13)),
+])
+def test_chain_inserts_read_the_kept_model(text, goal, magic_queries):
+    # the put-one-back database of a one-fact insert is db itself, whose
+    # model the request has already computed
+    db = Database.parse(text)
+    result = view_update(db, UpdateRequest(inserts=(goal,)))
+    assert magic_queries == []
+    found = insertion_candidates(db, goal, minimality=False)
+    assert result.alternatives == tuple(tx for tx in found if necessary_loop(db, goal, tx))
 
 
 # --- properties --------------------------------------------------------------

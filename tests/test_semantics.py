@@ -1,6 +1,9 @@
 """Model computation and proof trees, pinned against the slow oracles."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,32 @@ def test_apply_returns_db_when_the_facts_stay(monkeypatch):
     assert calls == []
     changed = Transaction(frozenset(), atoms("a")).apply(db)
     assert changed is not db and changed.edb == atoms("e", "f")
+
+
+# A registry on sys lives until the interpreter's last teardown step, as an
+# import hook's state does under a test runner: it keeps the rules, and the
+# module whose compiled programs they key, past vud.semantics' teardown.
+KEEP_RULES_SCRIPT = """
+import sys
+
+from vud import Atom, Database, UpdateRequest, semantics, view_update
+
+db = Database.parse("p(X) :- a(X), b(X), c(X).\\np(X) :- d(X).\\na(k).\\nb(k).\\n")
+view_update(db, UpdateRequest(inserts=(Atom("p", ("k",)),)))
+sys.rule_cache = {"rules": db.rules, "module": semantics}
+"""
+
+
+def test_rules_kept_past_teardown_exit_quietly():
+    # the insert compiles the helper rules of the propagation form, kept
+    # with the program of db's rules, so tearing that program down drops
+    # rules another compiled program is keyed by
+    src = str(Path(semantics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", KEEP_RULES_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Exception ignored" not in done.stderr, done.stderr
 
 
 def test_reduct():
