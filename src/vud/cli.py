@@ -59,8 +59,9 @@ def parse_atom(text: str) -> Atom:
 def load_database(path: str, err: IO[str]) -> Database | None:
     """Parse, validate and stratify a program file.
 
-    Prints diagnostics and returns None on failure; the caller maps the
-    failure kind to an exit code via the raised flag on the message.
+    Prints the validation problems and returns None when there are any.
+    Parse and I/O errors and NotStratifiableError propagate to main, which
+    exits 1 or 3.
     """
     db = Database.load(path)
     problems = validate(db)

@@ -15,15 +15,14 @@ atom it could have deleted instead; on a database without negation its
 open branches still reach every minimal cut, and contraction
 (revision.kernel_change) takes its cuts from there too.  The raw tableau
 stays for rules with negated literals, whose cuts go through the
-put-one-back test, and for the transformation below.
+put-one-back test, and for the materialized variant below.
 
-A second transformation pivots on the current model instead of deleting
-everything: atoms true in the model move across the arrow negated, atoms
-false in it stay in place.  It keeps every rule instance, but from a delete
-request only the clauses of firing instances and violated denials ever
-apply (every other clause has a positive body literal, and no clause puts
-one on a branch), so its branches hold deletions only; what it changes is
-that every branch cut is offered, with no minimality filter.
+The materialized variant offers every branch cut, with no minimality
+filter.  Its program is the same contrapositives plus those of the violated
+denials.  Moving the true atoms of every ground rule and denial across the
+arrow, negated, and leaving the false ones in place gives the same tableau
+from a delete request: every other clause keeps a false atom as a positive
+body literal, and no clause puts one on a branch.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .lang import EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, unique
-from .semantics import firing_instances, least_model, reduct
+from .semantics import check_ic, firing_instances, least_model, reduct
 
 
 @dataclass(frozen=True)
@@ -52,29 +51,19 @@ class Clause:
         return "%s :- %s" % (head, body) if head else ":- " + body
 
 
-def transform_rules(rules: Iterable[Rule], pivot: frozenset[Atom]) -> tuple[Clause, ...]:
-    """Move every atom of each ground rule that lies in the pivot across the
-    arrow, negated.  Rules must be ground and free of negation."""
+def transform_rules(rules: Iterable[Rule]) -> tuple[Clause, ...]:
+    """The contrapositive ``not b1 ; ... ; not bk :- not h`` of each ground
+    rule ``h :- b1, ..., bk``; a denial's has an empty body.  Rules must be
+    ground and free of negation."""
     out: list[Clause] = []
     for r in rules:
         head: list[Literal] = []
-        body: list[Literal] = []
-        if r.head is not None:
-            if r.head in pivot:
-                body_tail = [Literal(r.head, negated=True)]
-            else:
-                head.append(Literal(r.head))
-                body_tail = []
-        else:
-            body_tail = []
         for lit in r.body:
             if lit.negated:
                 raise ValueError("transformation expects negation-free rules, got %s" % r)
-            if lit.atom in pivot:
-                head.append(Literal(lit.atom, negated=True))
-            else:
-                body.append(Literal(lit.atom))
-        out.append(Clause(tuple(head), tuple(body + body_tail)))
+            head.append(Literal(lit.atom, negated=True))
+        body = () if r.head is None else (Literal(r.head, negated=True),)
+        out.append(Clause(tuple(head), body))
     return tuple(out)
 
 
@@ -85,26 +74,17 @@ def deletion_program(db: Database) -> tuple[Clause, ...]:
     they are dropped rather than translated; keeping them would send the
     tableau chasing deletions of facts that are not even stored.
     """
-    model = least_model(db)
-    fired = [
+    return transform_rules(
         Rule(r.head, tuple(l for l in r.body if not l.negated and l.atom.pred != EQ))
-        for r in firing_instances(db.idb, model, db.universe())
-    ]
-    return transform_rules(fired, model)
+        for r in firing_instances(db.idb, least_model(db), db.universe())
+    )
 
 
 def materialized_program(db: Database) -> tuple[Clause, ...]:
-    """Every ground rule and constraint pivoted on the current model.
-
-    Unlike deletion_program this keeps non-firing rules and carries the
-    denial constraints along; a tableau seeded with a delete request
-    applies only the firing instances and the violated denials.
-    """
-    model = least_model(db)
-    universe = db.universe()
-    clauses = list(transform_rules(reduct(db.idb, model, universe), model))
-    clauses.extend(transform_rules(reduct(db.ic, model, universe), model))
-    return tuple(clauses)
+    """deletion_program plus the contrapositives of the violated denials,
+    whose negated and eq literals reduct settles against the model: the
+    only clauses a delete request can apply (see the module docstring)."""
+    return deletion_program(db) + transform_rules(reduct(check_ic(db), least_model(db), db.universe()))
 
 
 def delete_request(atom: Atom) -> Clause:

@@ -34,10 +34,12 @@ Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
 Instances are listed in the order grounding over the universe would list
 them, so a constraint check's first violation does not depend on how the
-model was computed.  Three places still range rule variables over every
-constant instead of joining: the reduct (every ground instance, firing or
-not), RuleInstances (the instances proof trees and explain's walk unfold)
-and insertion._options_for_add (the values of a variable outside the head).
+model was computed.  Two places still range rule variables over every
+constant instead of joining: RuleInstances (the instances proof trees and
+explain's walk unfold) and insertion._options_for_add (the values of a
+variable outside the head).  The reduct grounds over the universe too, but
+in production it sees only ground denial instances, the violations
+deletion.materialized_program settles.
 
 Proof search is resolution over the ground program with leftmost literal
 selection; view atoms unfold through every matching rule in program order,
@@ -386,6 +388,9 @@ class _Joins:
             plan = program.plan(rules, n)
             found = self.bindings(plan)
             if not found:
+                continue
+            if not plan.order:  # no variables: the rule is its one instance
+                out.append(rule)
                 continue
             names = sorted(rule.variables())
             for values in sorted(tuple([b[s] for s in plan.order]) for b in found):

@@ -37,7 +37,9 @@ the world search as a delta program over +p/-p atoms; no production code
 reads it.
 tree_missing_support is the missing-support family as vud.explain built it
 before it visited each view atom once: the unique assumption sets of the
-hypothesising proof tree, in proof order.
+hypothesising proof tree, in proof order.  pivoted_program is the
+materialized variant's program before it kept only the clauses a delete
+request can apply: every ground rule and denial pivoted on the model.
 """
 
 from __future__ import annotations
@@ -220,7 +222,31 @@ def grounded_deletion_program(db: Database, model: frozenset[Atom]) -> tuple[Cla
         for r in reduct(db.idb, model, db.universe())
         if all(l.atom in model for l in r.body)
     ]
-    return transform_rules(fired, model)
+    return transform_rules(fired)
+
+
+def pivoted_program(db: Database) -> tuple[Clause, ...]:
+    """Every ground rule and denial pivoted on the model: atoms true in it
+    move across the arrow negated, atoms false in it stay in place.  The
+    materialized variant's program before it kept only the clauses a delete
+    request can apply: the firing instances and the violated denials."""
+    model = least_model(db)
+    out: list[Clause] = []
+    for r in reduct(db.idb + db.ic, model, db.universe()):
+        head: list[Literal] = []
+        body: list[Literal] = []
+        body_tail: list[Literal] = []
+        if r.head in model:
+            body_tail.append(Literal(r.head, negated=True))
+        elif r.head is not None:
+            head.append(Literal(r.head))
+        for lit in r.body:
+            if lit.atom in model:
+                head.append(Literal(lit.atom, negated=True))
+            else:
+                body.append(lit)
+        out.append(Clause(tuple(head), tuple(body + body_tail)))
+    return tuple(out)
 
 
 def stable_models(rules: Sequence[Rule], facts: Iterable[Atom]) -> list[frozenset[Atom]]:

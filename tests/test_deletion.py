@@ -22,6 +22,8 @@ from vud.deletion import (
     strongly_minimal,
     transform_rules,
 )
+from vud import semantics
+from vud.engine import UpdateRequest, view_update
 from vud.explain import local_explanations
 from vud.hitting import minimal_hitting_sets
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
@@ -34,6 +36,7 @@ from oracles import (
     literal_deletions,
     minimal_sets,
     naive_model,
+    pivoted_program,
     saturated_sets,
     scanning_tableau,
     strongly_minimal_loop,
@@ -152,11 +155,13 @@ def test_edb_cuts_agree_with_tableau():
 
 
 def test_materialized_program_asymmetry():
-    # with only e and f stored, nothing fires, so the deletion program is
-    # empty while the model-pivoted clauses still describe every rule
+    # with only e and f stored, nothing fires and no denial is violated, so
+    # both programs are empty while the model-pivoted clauses still
+    # describe every rule
     db = basic().with_edb(atoms("e", "f"))
     assert deletion_program(db) == ()
-    prog = materialized_program(db)
+    assert materialized_program(db) == ()
+    prog = pivoted_program(db)
     assert len(prog) == 7
     assert prog[0] == Clause((L("p"), L("e", True)), (L("a"),))
     assert prog[-1] == Clause((), (L("b"),))
@@ -173,6 +178,30 @@ def test_materialized_branches_match_deletion_here():
         frozenset({L("p", True), L("e", True), L("q", True), L("a", True)}),
         frozenset({L("p", True), L("e", True), L("q", True), L("f", True), L("a", True)}),
     }
+
+
+def test_materialized_delete_grounds_no_rule_with_variables(monkeypatch):
+    # transitive closure over a path of 40 edges: the materialized program
+    # is the 820 firing instances, joined, and every cut is one edge
+    text = "tc(X,Y) :- e(X,Y).\ntc(X,Z) :- e(X,Y), tc(Y,Z).\n" + "".join(
+        "e(v%d,v%d).\n" % (i, i + 1) for i in range(40))
+    db = Database.parse(text)
+    grounded: list[Rule] = []
+    real = semantics.ground_program
+
+    def recorded(rules, universe):
+        rules = tuple(rules)
+        grounded.extend(rules)
+        return real(rules, universe)
+
+    monkeypatch.setattr(semantics, "ground_program", recorded)
+    request = UpdateRequest(deletes=(A("tc", "v0", "v40"),))
+    materialized = view_update(db, request, variant="materialized").alternatives
+    assert all(not r.variables() for r in grounded)
+    minimal = view_update(db, request).alternatives
+    assert len(materialized) == 40
+    assert set(materialized) == set(minimal)
+    assert {tx.removals for tx in minimal} == {frozenset({A("e", "v%d" % i, "v%d" % (i + 1))}) for i in range(40)}
 
 
 def test_branch_sets_sandwiched_between_minimal_and_all_models():
@@ -200,7 +229,7 @@ def test_tableau_agrees_with_saturation_oracle():
 def test_transform_rules_rejects_negation():
     db = Database.parse("p :- a, not b.\na.\n")
     try:
-        transform_rules(db.idb, frozenset())
+        transform_rules(db.idb)
     except ValueError:
         pass
     else:
@@ -327,21 +356,22 @@ def test_tableau_matches_scanning_oracle_on_signed_programs():
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_materialized_tableau_applies_only_fired_rules_and_violated_denials(name):
-    # every other materialized clause has a positive body literal, and no
-    # clause puts one on a branch seeded with a delete request
+    # every other pivoted clause has a positive body literal, and no clause
+    # puts one on a branch seeded with a delete request, so the materialized
+    # program keeps only the applicable clauses and builds the same tableau
     violating = 0
     for seed in range(300):
         db = random_database(seed, CORPORA[name])
-        model = least_model(db)
         denials = [
             Rule(None, tuple(l for l in r.body if not l.negated and l.atom.pred != EQ))
             for r in check_ic(db)
         ]
-        applicable = deletion_program(db) + transform_rules(denials, model)
         materialized = materialized_program(db)
-        for goal in sorted(a for a in model if a.pred in db.view_predicates):
+        assert materialized == deletion_program(db) + transform_rules(denials), db.rules
+        pivoted = pivoted_program(db)
+        for goal in sorted(a for a in least_model(db) if a.pred in db.view_predicates):
             got = build_tableau(materialized, delete_request(goal))
-            assert got == build_tableau(applicable, delete_request(goal)), (db.rules, goal)
+            assert got == build_tableau(pivoted, delete_request(goal)), (db.rules, goal)
             assert all(l.negated for b in got.branches for l in b.literals), (db.rules, goal)
             violating += bool(denials)
     assert violating if name == "negation+denials" else not violating
