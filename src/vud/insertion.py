@@ -37,7 +37,8 @@ the database's model when the database already holds it or has a negated
 literal.  Only a monotone database with no model yet is evaluated on a
 goal-guarded rewriting of the rules (magic_query), so only atoms relevant
 to the goal are derived; guards (@p, again a name no program can spell)
-stand over the predicates some rule defines.
+stand over the predicates some rule defines.  The rewriting too is kept
+per rule set.
 """
 
 from __future__ import annotations
@@ -436,8 +437,10 @@ def magic_program(rules: Sequence[Rule]) -> tuple[Rule, ...]:
 
 
 def magic_query(db: Database, goal: Atom) -> bool:
-    """Is the ground goal derivable, computing only goal-relevant atoms?"""
-    program = magic_program(db.idb)
+    """Is the ground goal derivable, computing only goal-relevant atoms?
+    The guarded rules are made once per rule set (semantics.kept_form), so
+    their compiled program is found again by the next query."""
+    program = kept_form(db.idb, magic_program)
     seeded = frozenset(db.edb) | {guard_atom(goal)}
     model = fixpoint_model(program, seeded, db.universe() | set(goal.args))
     return goal in model

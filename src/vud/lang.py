@@ -17,6 +17,7 @@ import functools
 import itertools
 import re
 import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -334,7 +335,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+# Rule statements parsed so far, keyed by their token values up to and
+# including the closing ".", so every database parsed from the same rule
+# text holds the same Rule objects while one of them lives, and semantics
+# finds their compiled program and kept forms again (hash-consing).  Only
+# statements with ":-" are kept: rules, denials and folded eq heads, the
+# clauses a program is compiled from; facts change from database to
+# database.  A value goes when the last database holding it does.
+_STATEMENTS: weakref.WeakValueDictionary[tuple[str, ...], Rule] = weakref.WeakValueDictionary()
+
+
 class _Parser:
+    """Recursive descent over the token list.  parse_program returns the
+    kept Rule of a rule statement parsed before (_STATEMENTS): a statement
+    that parses ends at its first "." token, and the tokens decide the
+    rule, so a statement with the same token values is the same rule.  A
+    statement that fails to parse is never kept, so it fails again, at its
+    own line and column."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -406,9 +424,22 @@ class _Parser:
         return Rule(head, body)
 
     def parse_program(self) -> tuple[Rule, ...]:
+        tokens = self.tokens
+        ends = iter([j for j, tok in enumerate(tokens) if tok[1] == "."])
         rules = []
         while self.peek()[0] != "eof":
-            rules.append(self.parse_statement())
+            end = next(ends, None)
+            key = () if end is None else tuple([tok[1] for tok in tokens[self.i:end + 1]])
+            if ":-" not in key:
+                # a fact, or a statement with no "." left, which fails
+                rules.append(self.parse_statement())
+                continue
+            rule = _STATEMENTS.get(key)
+            if rule is None:
+                rule = _STATEMENTS[key] = self.parse_statement()
+            else:
+                self.i = end + 1
+            rules.append(rule)
         return tuple(rules)
 
 

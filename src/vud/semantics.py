@@ -11,7 +11,9 @@ a set that holds every constant of its rules and atoms: the database's
 own (Database.universe()), or more.  After a stratum's first round, only
 rules with a subgoal whose predicate gained atoms are joined again,
 reading that subgoal from the new atoms.  Compiled rule sets are kept for
-the few databases in use, keyed by the identities of their rules.
+the few rule sets in use, keyed by the identities of their rules: the
+parser hands every database parsed from the same rule text the same Rule
+objects (lang._STATEMENTS), so those databases share one program.
 
 A database's model and its constraint violations are computed once, on
 first use, and kept on the Database instance; every layer that needs them
@@ -23,12 +25,13 @@ request reaches, so a fact set that comes up again in the search, the
 verifying step or the audit is the same instance, whose model and
 violations are already there; the log, and with it every changed database
 it keeps, goes when the request returns.  Only kb_equivalent and
-derivable_without_facts (another universe), magic_query (other rules, run
-by insertion.derivable on a monotone database with no model kept, see
-model_kept) and the insertion world search (its helper rules, over the kept
-model) call fixpoint_model themselves.  What other layers derive from a
-rule set alone (the propagation form of insertion, the rules by head
-predicate) is kept beside the rules' compiled program by kept_form.
+derivable_without_facts (another universe), magic_query (its guarded
+rules, run by insertion.derivable on a monotone database with no model
+kept, see model_kept) and the insertion world search (its helper rules,
+over the kept model) call fixpoint_model themselves.  What other layers
+derive from a rule set alone (the propagation form of insertion, the
+guarded rules of magic_query, the rules by head predicate) is kept beside
+the rules' compiled program by kept_form.
 
 Constraint checks, the rules that fire in a model (deletion_program,
 closed_under_rules) and the model itself come out of the same evaluator.
@@ -244,9 +247,11 @@ class _Program:
 
 # Prepared programs keyed by the identities of their rules, least recently
 # used first.  An entry is dropped as soon as one of its rules is, so no
-# identity in a live key can belong to another object, and a dropped
-# database's program goes with it.  A request reuses a handful of programs
-# (its database's rules and constraints) across every candidate it checks.
+# identity in a live key can belong to another object, and a program goes
+# with the last database holding its rules: databases parsed from the same
+# rule text hold the same Rule objects, so they share one entry.  A request
+# reuses a handful of programs (its database's rules and constraints, and
+# the forms kept with them) across every candidate it checks.
 _COMPILED: OrderedDict[tuple[int, ...], _Program] = OrderedDict()
 _COMPILED_MAX = 16
 

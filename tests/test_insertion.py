@@ -10,7 +10,7 @@ import weakref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vud import engine, insertion
+from vud import engine, insertion, semantics
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.insertion import (
     derivable,
@@ -23,7 +23,7 @@ from vud.insertion import (
     search_model,
     view_definitions,
 )
-from vud.lang import Atom, Database, SearchLog, Transaction, format_database, parse_program
+from vud.lang import Atom, Database, Rule, SearchLog, Transaction, format_database, parse_program
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
 from vud.semantics import check_ic, fixpoint_model, kept_form, least_model
 
@@ -353,7 +353,10 @@ def test_propagation_form_is_built_once_per_rule_set(monkeypatch):
     ("data/staff.dl", Atom("staff_chair", ("aravindan", "gerhard"))),
 ])
 def test_kept_propagation_form_goes_with_its_database(path, goal):
-    db = Database.parse(HELPER_NAMED_TEXT) if path is None else Database.load(path)
+    # the file's clauses copied: the staff fixture holds the parsed ones,
+    # which every parse of the file shares while it lives
+    db = Database.parse(HELPER_NAMED_TEXT) if path is None else Database(
+        tuple(Rule(r.head, r.body) for r in Database.load(path).rules))
     assert insertion_candidates(db, goal)
     helpers = kept_form(db.idb, insertion._propagation_form).helpers
     refs = [weakref.ref(r) for r in db.idb + helpers]
@@ -509,6 +512,28 @@ def test_magic_query_transitive_closure():
         for y in "abcd":
             goal = Atom("path", (x, y))
             assert magic_query(db, goal) == (goal in model)
+
+
+def test_magic_query_compiles_its_guarded_rules_once_per_rule_set(monkeypatch):
+    built: list[tuple] = []
+
+    class Counted(semantics._Program):
+        def __init__(self, rules):
+            built.append(rules)
+            super().__init__(rules)
+
+    monkeypatch.setattr(semantics, "_Program", Counted)
+    # rules no other test parses, so none of them is compiled yet
+    text = "mq(X) :- e(X,Y), mr(Y).\nmr(Y) :- f(Y).\ne(a,b).\n"
+    db = Database.parse(text)
+    assert not magic_query(db, Atom("mq", ("a",)))
+    assert len(built) == 2  # the rules, and the guarded rules kept with them
+    built.clear()
+    # the same rules: on the same database, a changed one and another parse
+    assert not magic_query(db, Atom("mq", ("b",)))
+    assert magic_query(db.with_edb(db.edb | {Atom("f", ("b",))}), Atom("mq", ("a",)))
+    assert magic_query(Database.parse(text + "f(b).\n"), Atom("mq", ("a",)))
+    assert built == []
 
 
 def test_magic_avoids_irrelevant_atoms():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vud import lang
 from vud.lang import (
     Atom,
     Database,
@@ -26,6 +27,7 @@ from vud.lang import (
     stratify,
     validate,
 )
+from vud.randgen import GeneratorConfig, random_database
 from vud.semantics import least_model
 
 from oracles import antichain_pairwise
@@ -91,6 +93,72 @@ def test_parse_errors_carry_position():
         parse_program("not.")
     with pytest.raises(ParseError):
         parse_program("p :- .")
+
+
+class _KeepsNothing(dict):
+    """A statement memo that stores nothing, so every statement is parsed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _parse_without_memo(monkeypatch, text: str):
+    with monkeypatch.context() as m:
+        m.setattr(lang, "_STATEMENTS", _KeepsNothing())
+        return parse_program(text)
+
+
+def _error(parse, text: str) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value), err.value.line, err.value.col
+
+
+def _programs() -> list[str]:
+    texts = [path.read_text() for path in sorted(DATA.glob("*.dl"))]
+    configs = [GeneratorConfig(), GeneratorConfig(negation=True, constraints=True),
+               GeneratorConfig(extra_body_vars=1, negation=True)]
+    texts += [format_database(random_database(seed, c)) for c in configs for seed in range(40)]
+    return texts
+
+
+def test_kept_rule_statements_parse_as_without_the_memo(monkeypatch):
+    """Every rule statement parsed before comes back as the same object,
+    equal to what parsing it afresh gives; facts are parsed every time."""
+    for text in _programs():
+        fresh = _parse_without_memo(monkeypatch, text)
+        first, again = parse_program(text), parse_program(text)
+        assert first == again == fresh
+        assert all((a is b) != a.is_fact for a, b in zip(first, again))
+        assert not any(a is b for a, b in zip(first, fresh))
+
+
+@pytest.mark.parametrize("bad", [
+    "p :- q\nr.",
+    "p(X) :- q(X), .",
+    "p :- q(a.b).",
+    ":- .",
+    "eq(X,Y) :- .",
+    "p(X) :- q(X), not.",
+    "p :- q",
+    "p :- q.\nr",
+    "p :- q.\np :- q r.",
+])
+def test_malformed_statements_fail_where_they_are(monkeypatch, bad):
+    """A statement that fails to parse is never kept: it fails with the same
+    line and column on its first parse, on a repeat and after other
+    statements, kept ones among them, in another text."""
+    expected = _error(lambda t: _parse_without_memo(monkeypatch, t), bad)
+    assert _error(parse_program, bad) == expected
+    assert _error(parse_program, bad) == expected
+    # two lines and three columns further on, after a rule statement kept
+    # from another parse
+    kept = parse_program("a.\np :- q.\n")
+    shifted = _error(parse_program, "a.\np :- q.\n   " + bad)
+    assert lang._STATEMENTS.get(("p", ":-", "q", ".")) is kept[1]
+    _, line, col = expected
+    assert shifted[1:] == (line + 2, col + 3 if line == 1 else col)
+    assert shifted == _error(lambda t: _parse_without_memo(monkeypatch, t), "a.\np :- q.\n   " + bad)
 
 
 def test_comments_and_whitespace_ignored():
