@@ -62,15 +62,19 @@ REMOVE = "-"
 
 
 def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
-    body = rule.body
-    if len(body) <= 2:
-        return [rule]
-    first, rest = body[0], body[1:]
-    rest_vars = frozenset().union(*(l.atom.variables() for l in rest))
-    head_vars = rule.head.variables() if rule.head is not None else frozenset()
-    carried = sorted(rest_vars & (head_vars | first.atom.variables()))
-    helper = Atom(next(names), tuple(carried))
-    return [Rule(rule.head, (first, Literal(helper)))] + _binarize(Rule(helper, rest), names)
+    """rule split into rules of at most two subgoals: the first subgoal and
+    a helper atom standing for the rest, which the next rule defines."""
+    out: list[Rule] = []
+    while len(rule.body) > 2:
+        first, rest = rule.body[0], rule.body[1:]
+        rest_vars = frozenset().union(*(l.atom.variables() for l in rest))
+        head_vars = rule.head.variables() if rule.head is not None else frozenset()
+        carried = sorted(rest_vars & (head_vars | first.atom.variables()))
+        helper = Atom(next(names), tuple(carried))
+        out.append(Rule(rule.head, (first, Literal(helper))))
+        rule = Rule(helper, rest)
+    out.append(rule)
+    return out
 
 
 def normalize_rules(rules: Sequence[Rule]) -> tuple[Rule, ...]:

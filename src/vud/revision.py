@@ -12,8 +12,11 @@ tree or hitting-set family built.  Constraint repair, and the single
 repair round that contraction and revision grant a candidate, run on
 lang.breadth_first with one SearchLog per operation, which also keeps
 the changed databases and the constants (the database's and the atom's)
-its checks and repairs use.  The checkers at the bottom state the
-postulates operationally so a result can be audited.
+its checks and repairs use.  rationality_report states the postulates
+operationally so a result can be audited; closure holds by construction,
+since a changed database's belief set is the perfect model of the
+unchanged rules.  The equivalence and preservation checks, which only
+tests call, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .explain import (
 from .hitting import minimal_hitting_sets
 from .insertion import disarm_steps, insertion_candidates
 from .lang import Atom, Database, SearchLog, Transaction, antichain, breadth_first, check_goal
-from .semantics import check_ic, firing_instances, fixpoint_model, least_model, removals_settled
+from .semantics import check_ic, fixpoint_model, least_model, removals_settled
 
 
 def kernel_change(db: Database, atom: Atom, operation: str) -> tuple[Transaction, ...]:
@@ -172,45 +175,12 @@ def revise(db: Database, atom: Atom) -> tuple[Transaction, ...]:
     return _finalize(db, atom, kernel_change(db, atom, "insert"), True)
 
 
-# --- equivalence ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    equivalent: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def kb_equivalent(db1: Database, db2: Database) -> EquivalenceVerdict:
-    """Do the two databases hold the same beliefs?
-
-    Compared over the joint constant universe: same derivable atoms and the
-    same constraint status.  Rule syntax is allowed to differ.
-    """
-    universe = db1.universe() | db2.universe()
-    m1 = fixpoint_model(db1.idb, db1.edb, universe)
-    m2 = fixpoint_model(db2.idb, db2.edb, universe)
-    if m1 != m2:
-        witness = sorted(map(str, m1 ^ m2))[0]
-        return EquivalenceVerdict(False, "models differ on %s" % witness)
-    if bool(check_ic(db1)) != bool(check_ic(db2)):
-        return EquivalenceVerdict(False, "constraint status differs")
-    return EquivalenceVerdict(True, "same beliefs and constraint status")
-
-
 # --- rationality postulates --------------------------------------------------
 
 
 def derivable_without_facts(db: Database, atom: Atom) -> bool:
     """Does the atom follow from the rules alone, with nothing stored?"""
     return atom in fixpoint_model(db.idb, frozenset(), db.universe() | set(atom.args))
-
-
-def closed_under_rules(db: Database, model: frozenset[Atom]) -> bool:
-    return all(r.head in model for r in firing_instances(db.idb, model, db.universe()))
 
 
 def rationality_report(
@@ -225,7 +195,8 @@ def rationality_report(
 
     Keys and their operational readings, for deleting / inserting:
 
-      closure              the result's belief set is closed under the rules
+      closure              the result's belief set is closed under the rules;
+                           true by construction, it is the result's model
       weak-success         the atom is gone (resp. present), unless it holds
                            with no facts stored at all (resp. no consistent
                            way to accept it exists)
@@ -245,7 +216,8 @@ def rationality_report(
     after_db = tx.apply(db, log)
     after = least_model(after_db)
     report: dict[str, bool] = {}
-    report["closure"] = closed_under_rules(after_db, after)
+    # after is least_model(after_db), which _Joins.saturate derives to fixpoint stratum by stratum
+    report["closure"] = True
     report["immutable-inclusion"] = (
         after_db.idb == db.idb and after_db.ic == db.ic
     )
@@ -289,21 +261,3 @@ REVISION_GUARANTEES = (
     "vacuity",
     "consistency",
 )
-
-
-def guarantee_failures(
-    db: Database, atom: Atom, tx: Transaction, operation: str
-) -> tuple[str, ...]:
-    """Which of the postulates guaranteed for this operation does the
-    transaction break?  Empty means fully rational."""
-    wanted = CONTRACTION_GUARANTEES if operation == "delete" else REVISION_GUARANTEES
-    report = rationality_report(db, atom, tx, operation)
-    return tuple(k for k in wanted if not report[k])
-
-
-def preservation(db1: Database, db2: Database, atom: Atom, operation: str) -> bool:
-    """Equivalent knowledge bases must offer the same candidate changes."""
-    if not kb_equivalent(db1, db2):
-        return True
-    change = contract if operation == "delete" else revise
-    return set(change(db1, atom)) == set(change(db2, atom))

@@ -24,17 +24,17 @@ found again.  The request's SearchLog keeps each changed database the
 request reaches, so a fact set that comes up again in the search, the
 verifying step or the audit is the same instance, whose model and
 violations are already there; the log, and with it every changed database
-it keeps, goes when the request returns.  Only kb_equivalent and
-derivable_without_facts (another universe), magic_query (its guarded
-rules, run by insertion.derivable on a monotone database with no model
-kept, see model_kept) and the insertion world search (its helper rules,
-over the kept model) call fixpoint_model themselves.  What other layers
+it keeps, goes when the request returns.  Only derivable_without_facts
+(another universe), magic_query (its guarded rules, run by
+insertion.derivable on a monotone database with no model kept, see
+model_kept) and the insertion world search (its helper rules, over the
+kept model) call fixpoint_model themselves.  What other layers
 derive from a rule set alone (the propagation form of insertion, the
 guarded rules of magic_query, the rules by head predicate) is kept beside
 the rules' compiled program by kept_form.
 
-Constraint checks, the rules that fire in a model (deletion_program,
-closed_under_rules) and the model itself come out of the same evaluator.
+Constraint checks, the rules that fire in a model (deletion_program) and
+the model itself come out of the same evaluator.
 Instances are listed in the order grounding over the universe would list
 them, so a constraint check's first violation does not depend on how the
 model was computed.  Two places still range rule variables over every

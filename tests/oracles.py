@@ -23,7 +23,8 @@ Transaction.undo_each replaced; the three that build databases build them
 with rebuilt_database, so they do not share the production path.
 grounded_instances is the lookup proof trees used before
 vud.semantics.RuleInstances listed only the atoms a tree selects: the whole
-ground program, grouped by head.  normalized_model is the model the
+ground program, grouped by head; grounded_closed reads the closure
+postulate off it.  normalized_model is the model the
 insertion world search computed before it read the database's kept model:
 the whole normalised program evaluated from the stored facts.
 whole_key_worlds is the insertion world search before it knew a world
@@ -40,13 +41,21 @@ before it visited each view atom once: the unique assumption sets of the
 hypothesising proof tree, in proof order.  pivoted_program is the
 materialized variant's program before it kept only the clauses a delete
 request can apply: every ground rule and denial pivoted on the model.
+kb_equivalent (with its EquivalenceVerdict), preservation and
+guarantee_failures check the postulates across databases and candidates,
+and closed_under_rules is the closure check vud.revision.rationality_report
+ran before it took closure from construction: every rule instance that
+fires in the model, by the join evaluator, has its head there.
+EquivalenceVerdict is a NamedTuple, not a dataclass: the benchmark loads
+this file by path under a name sys.modules does not hold, and a dataclass
+with postponed annotations looks its module up there.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from vud.deletion import Branch, Clause, Tableau, transform_rules
 from vud.explain import local_explanations
@@ -57,7 +66,8 @@ from vud.lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, breadth_first, ground_program, is_variable,
     stratify, unique,
 )
-from vud.semantics import build_proof_tree, check_ic, fixpoint_model, least_model, reduct
+from vud.revision import CONTRACTION_GUARANTEES, REVISION_GUARANTEES, contract, rationality_report, revise
+from vud.semantics import build_proof_tree, check_ic, firing_instances, fixpoint_model, least_model, reduct
 
 
 def _ground_instances(rule: Rule, consts: Sequence[str]) -> list[Rule]:
@@ -549,6 +559,15 @@ def grounded_instances(rules: Iterable[Rule], consts: Iterable[str]) -> dict[Ato
     return out
 
 
+def grounded_closed(db: Database, model: frozenset[Atom]) -> bool:
+    """Does every ground instance of db's rules over its constants whose
+    body holds in model have its head there?"""
+    return all(
+        head in model or not any(_body_holds(r.body, model) for r in instances)
+        for head, instances in grounded_instances(db.idb, db.universe()).items()
+    )
+
+
 # --- changed databases --------------------------------------------------------
 
 
@@ -751,3 +770,50 @@ def propagation_rules(db: Database) -> tuple[Clause, ...]:
 
 def tree_missing_support(db: Database, atom: Atom) -> tuple[frozenset[Atom], ...]:
     return unique(build_proof_tree(db, atom, hypothesize=True).hypothesised_sets())
+
+
+class EquivalenceVerdict(NamedTuple):
+    equivalent: bool
+    reason: str
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def kb_equivalent(db1: Database, db2: Database) -> EquivalenceVerdict:
+    """Do the two databases hold the same beliefs?
+
+    Compared over the joint constant universe: same derivable atoms and the
+    same constraint status.  Rule syntax is allowed to differ.
+    """
+    universe = db1.universe() | db2.universe()
+    m1 = fixpoint_model(db1.idb, db1.edb, universe)
+    m2 = fixpoint_model(db2.idb, db2.edb, universe)
+    if m1 != m2:
+        witness = sorted(map(str, m1 ^ m2))[0]
+        return EquivalenceVerdict(False, "models differ on %s" % witness)
+    if bool(check_ic(db1)) != bool(check_ic(db2)):
+        return EquivalenceVerdict(False, "constraint status differs")
+    return EquivalenceVerdict(True, "same beliefs and constraint status")
+
+
+def closed_under_rules(db: Database, model: frozenset[Atom]) -> bool:
+    return all(r.head in model for r in firing_instances(db.idb, model, db.universe()))
+
+
+def guarantee_failures(
+    db: Database, atom: Atom, tx: Transaction, operation: str
+) -> tuple[str, ...]:
+    """Which of the postulates guaranteed for this operation does the
+    transaction break?  Empty means fully rational."""
+    wanted = CONTRACTION_GUARANTEES if operation == "delete" else REVISION_GUARANTEES
+    report = rationality_report(db, atom, tx, operation)
+    return tuple(k for k in wanted if not report[k])
+
+
+def preservation(db1: Database, db2: Database, atom: Atom, operation: str) -> bool:
+    """Equivalent knowledge bases must offer the same candidate changes."""
+    if not kb_equivalent(db1, db2):
+        return True
+    change = contract if operation == "delete" else revise
+    return set(change(db1, atom)) == set(change(db2, atom))

@@ -16,6 +16,7 @@ from oracles import (
     clause_models,
     is_hitting_set,
     minimal_sets,
+    preservation,
     saturated_sets,
     subset_explanations,
 )
@@ -36,7 +37,7 @@ from vud.hitting import minimal_hitting_sets
 from vud.insertion import insertion_candidates, magic_query
 from vud.lang import Atom, Database, Literal, Transaction, is_variable
 from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
-from vud.revision import preservation, rationality_report, revise
+from vud.revision import rationality_report, revise
 from vud.semantics import build_proof_tree, check_ic, least_model
 
 

@@ -127,6 +127,24 @@ def test_update_out_of_budget_exits_2(tmp_path, capsys, budget_probe_text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "head, subgoal, goal, want",
+    [("p", "a%d", "p", "1: +a0."), ("p(X)", "a%d(X)", "p(k)", "1: +a0(k).")],
+    ids=["ground", "variable-head"],
+)
+def test_update_insert_through_a_1500_literal_body(tmp_path, capsys, head, subgoal, goal, want):
+    # every subgoal but the first stored: folding the body into binary
+    # rules once recursed per literal and overflowed Python's stack
+    n = 1500
+    arg = "(k)" if "(" in head else ""
+    text = "%s :- %s.\n" % (head, ", ".join(subgoal % i for i in range(n)))
+    text += "".join("a%d%s.\n" % (i, arg) for i in range(1, n))
+    path = tmp_path / "long.dl"
+    path.write_text(text)
+    code, out, err = run(capsys, "update", str(path), "--insert", goal, "--all")
+    assert (code, out.splitlines(), err) == (0, [want], "")
+
+
 def test_round_limit_is_no_option(capsys):
     # argparse mistakes leave through the parser's own SystemExit
     with pytest.raises(SystemExit) as exit_:

@@ -3,7 +3,8 @@
 Models, constraint violations, fired deletion clauses and firing instances
 must match the grounded references in oracles.py exactly, order included,
 on seeded random corpora with negation, eq literals, body-only variables,
-unsafe variables and view cycles.
+unsafe variables and view cycles.  Models, and the models of the databases
+updates produce, must be closed under every grounded rule instance.
 """
 
 import functools
@@ -21,6 +22,7 @@ from vud.semantics import check_ic, firing_instances, fixpoint_model, least_mode
 
 from oracles import (
     grounded_check_ic,
+    grounded_closed,
     grounded_deletion_program,
     grounded_fixpoint_model,
     naive_model,
@@ -95,6 +97,30 @@ def test_models_match_grounding_and_naive(databases):
         model = least_model(db)
         assert model == grounded_fixpoint_model(db.idb, db.edb, db.universe())
         assert fixpoint_model(db.idb, db.edb, db.universe()) == naive_model(db.idb, db.edb)
+        assert grounded_closed(db, model)
+
+
+def test_updated_models_are_naive_and_closed(databases):
+    # the result database of an update keeps its rules, so its model must
+    # still be the naive one and closed under them (rationality_report
+    # takes closure from construction)
+    updated = 0
+    for seed, db in enumerate(databases):
+        # a derivable view atom to delete, or a random one to insert
+        present = sorted(a for a in least_model(db) if a.pred in db.view_predicates)
+        if present:
+            request = UpdateRequest(deletes=(random.Random(seed).choice(present),))
+        else:
+            request = UpdateRequest(inserts=(random_ground_atom(db, seed),))
+        try:
+            after = view_update(db, request).database
+        except UnrealizableError:
+            continue
+        updated += after.edb != db.edb
+        model = least_model(after)
+        assert model == naive_model(after.idb, after.edb)
+        assert grounded_closed(after, model)
+    assert updated >= len(databases) // 3
 
 
 def test_constraint_violations_match_in_order(databases):

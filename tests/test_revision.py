@@ -1,6 +1,8 @@
 """Belief change: kernels, repair, the change operations, postulates."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 
@@ -14,14 +16,9 @@ from vud.randgen import chain_database
 from vud.revision import (
     CONTRACTION_GUARANTEES,
     REVISION_GUARANTEES,
-    EquivalenceVerdict,
-    closed_under_rules,
     contract,
     derivable_without_facts,
-    guarantee_failures,
-    kb_equivalent,
     kernel_change,
-    preservation,
     rationality_report,
     repair_constraints,
     revise,
@@ -30,6 +27,7 @@ from vud.semantics import check_ic, least_model
 
 import pytest
 
+from oracles import EquivalenceVerdict, closed_under_rules, guarantee_failures, kb_equivalent, preservation
 from strategies import dbs_with_derivable_goal, dbs_with_underivable_goal
 
 
@@ -282,6 +280,16 @@ def test_kb_equivalent_spots_constraint_difference():
     broken = Database.parse("a.\n:- a.\n")
     verdict = kb_equivalent(clean, broken)
     assert verdict == EquivalenceVerdict(False, "constraint status differs")
+
+
+def test_equivalence_oracle_loads_by_path_outside_sys_modules():
+    # bench/checks.py imports oracles.py by path under a name sys.modules
+    # does not hold, where a dataclass with postponed annotations fails
+    spec = importlib.util.spec_from_file_location("oracles_by_path", Path(__file__).with_name("oracles.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    verdict = module.kb_equivalent(Database.parse("a.\n"), Database.parse("a.\n:- a.\n"))
+    assert verdict == module.EquivalenceVerdict(False, "constraint status differs")
 
 
 # --- postulates --------------------------------------------------------------
