@@ -29,8 +29,11 @@ lang.breadth_first and draw on the request's SearchLog.
 The normalised rules depend on the rules alone, so their helper rules,
 definitions and alternative helpers are built once per rule set and kept
 with its compiled program (semantics.kept_form), where a changed database
-finds them again.  The world search reads the database's kept model plus
-the helper atoms, which the helper rules alone derive over that model.
+finds them again.  The world search reads stored and view atoms from the
+database's kept model, and decides a helper atom only when it asks for it:
+an alternative helper is false while its view atom is absent, and any
+other by a join of its helper rule seeded with the atom's arguments over
+that model (semantics.SeededModel), whose compiled plans the form keeps.
 
 Derivability (derivable, behind the minimality filter and vud query) reads
 the database's model when the database already holds it or has a negated
@@ -44,6 +47,7 @@ per rule set.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -52,7 +56,9 @@ from .lang import (
     EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, antichain, breadth_first,
     is_variable, unique,
 )
-from .semantics import check_ic, eq_holds, fixpoint_model, kept_form, least_model, match_atom, model_kept
+from .semantics import (
+    SeededModel, SeededRules, check_ic, eq_holds, fixpoint_model, kept_form, least_model, match_atom, model_kept,
+)
 
 ADD = "+"
 REMOVE = "-"
@@ -63,17 +69,25 @@ REMOVE = "-"
 
 def _binarize(rule: Rule, names: Iterator[str]) -> list[Rule]:
     """rule split into rules of at most two subgoals: the first subgoal and
-    a helper atom standing for the rest, which the next rule defines."""
+    a helper atom standing for the rest, which the next rule defines.  The
+    helper carries the variables the rest shares with the head or the first
+    subgoal; each variable's count of remaining subgoals tells which, so the
+    split is linear in the body."""
+    body = rule.body
+    if len(body) <= 2:
+        return [rule]
+    literal_vars = [l.atom.variables() for l in body]
+    remaining = Counter(v for vs in literal_vars for v in vs)
+    head = rule.head
+    head_vars = head.variables() if head is not None else frozenset()
     out: list[Rule] = []
-    while len(rule.body) > 2:
-        first, rest = rule.body[0], rule.body[1:]
-        rest_vars = frozenset().union(*(l.atom.variables() for l in rest))
-        head_vars = rule.head.variables() if rule.head is not None else frozenset()
-        carried = sorted(rest_vars & (head_vars | first.atom.variables()))
+    for n in range(len(body) - 2):
+        remaining.subtract(literal_vars[n])
+        carried = sorted(v for v in head_vars | literal_vars[n] if remaining[v] > 0)
         helper = Atom(next(names), tuple(carried))
-        out.append(Rule(rule.head, (first, Literal(helper))))
-        rule = Rule(helper, rest)
-    out.append(rule)
+        out.append(Rule(head, (body[n], Literal(helper))))
+        head, head_vars = helper, frozenset(carried)
+    out.append(Rule(head, body[-2:]))
     return out
 
 
@@ -146,13 +160,15 @@ def view_definitions(rules: Sequence[Rule]) -> dict[str, ViewDefinition]:
 class _Form(NamedTuple):
     """The propagation form of a rule set: the helper rules of the
     normalised rules (those whose head predicate no rule of the set
-    defines), the definitions of every predicate, views and helpers alike,
-    and the alternative helpers, the _v.k in p(X̄) :- _v.k(X̄) that stand for
-    one rule of a predicate several rules define."""
+    defines), compiled for head-seeded joins on first use, the definitions
+    of every predicate, views and helpers alike, and the alternative
+    helpers, the _v.k in p(X̄) :- _v.k(X̄) that stand for one rule of a
+    predicate several rules define, each with its view p."""
 
     helpers: tuple[Rule, ...]
+    seeded: SeededRules
     definitions: dict[str, ViewDefinition]
-    alternative_helpers: frozenset[str]
+    alternative_helpers: dict[str, str]
 
 
 def _propagation_form(idb: tuple[Rule, ...]) -> _Form:
@@ -162,14 +178,15 @@ def _propagation_form(idb: tuple[Rule, ...]) -> _Form:
     normalized = normalize_rules(idb)
     views = {r.head.pred for r in idb if r.head is not None}
     helpers = tuple(r for r in normalized if r.head is not None and r.head.pred not in views)
-    named = {r.head.pred for r in helpers}
+    seeded = SeededRules(helpers)
     # a view's single-subgoal rule over a helper is one of its alternatives:
     # folding a long body never leaves a view rule with one subgoal
-    alternative_helpers = frozenset(
-        r.body[0].atom.pred for r in normalized
-        if r.head is not None and r.head.pred in views and len(r.body) == 1 and r.body[0].atom.pred in named
-    )
-    return _Form(helpers, view_definitions(normalized), alternative_helpers)
+    alternative_helpers = {
+        r.body[0].atom.pred: r.head.pred for r in normalized
+        if r.head is not None and r.head.pred in views and len(r.body) == 1
+        and r.body[0].atom.pred in seeded.predicates
+    }
+    return _Form(helpers, seeded, view_definitions(normalized), alternative_helpers)
 
 
 def _form(db: Database) -> _Form:
@@ -177,14 +194,28 @@ def _form(db: Database) -> _Form:
     return kept_form(db.idb, _propagation_form)
 
 
-def search_model(db: Database) -> frozenset[Atom]:
-    """The model the world search reads: least_model(db) plus the helper
-    atoms, derived by the helper rules alone over it.  Helper rules negate
-    only predicates of db and never reach themselves, so this is the model
-    of the normalised rules over db's facts."""
-    helpers = _form(db).helpers
+def _membership(db: Database, form: _Form) -> Callable[[Atom], bool]:
+    """Membership in the model of the normalised rules over db's facts, as
+    the world search asks it.  Stored and view atoms are read from db's
+    kept model.  An alternative helper _v.k(c̄) is false while its view atom
+    p(c̄) is absent, since p(X̄) :- _v.k(X̄) is a rule; the search asks only
+    then, as it lists options only for absent view atoms.  Other helper
+    atoms are decided by head-seeded joins over the model
+    (semantics.SeededModel), each once per search."""
     model = least_model(db)
-    return fixpoint_model(helpers, model, db.universe()) if helpers else model
+    helper_preds, views = form.seeded.predicates, form.alternative_helpers
+    derived = SeededModel(form.seeded, model, db.universe())
+
+    def holds(atom: Atom) -> bool:
+        pred = atom.pred
+        if pred not in helper_preds:
+            return atom in model
+        view = views.get(pred)
+        if view is not None and Atom(view, atom.args) not in model:
+            return False
+        return atom in derived
+
+    return holds
 
 
 # --- world search ----------------------------------------------------------
@@ -198,14 +229,14 @@ def _unused(pattern: str, used: Collection[str]) -> Iterator[str]:
 def _options_for_add(
     defn: ViewDefinition,
     goal: Atom,
-    model: frozenset[Atom],
+    holds: Callable[[Atom], bool],
     universe: tuple[str, ...],
     fresh: Sequence[str],
 ) -> list[Transaction]:
     """Joint changes, one per (alternative, instantiation) that could make
     goal derivable.  Variables outside the head range over the constants and
     the alternative's fresh witness; a constant-valued extra variable must be
-    bound by some subgoal already true in the model."""
+    bound by some subgoal already true (holds)."""
     theta = match_atom(defn.head, goal)
     if theta is None:
         return []
@@ -219,15 +250,16 @@ def _options_for_add(
             ground = [l.substitute(sigma) for l in body]
             if any(l.atom.pred == EQ and not eq_holds(l) for l in ground):
                 continue
+            present = [g.atom.pred != EQ and holds(g.atom) for g in ground]
             sourced: set[str] = set()
-            for orig, g in zip(body, ground):
-                if not g.negated and g.atom.pred != EQ and g.atom in model:
+            for orig, g, there in zip(body, ground, present):
+                if there and not g.negated:
                     sourced.update(v for v in orig.atom.variables() if v in extra)
             if any(value != witness and v not in sourced for v, value in zip(extra, combo)):
                 continue
             # subgoals not yet as the body needs them: absent positives are
             # added, present negated ones removed
-            changes = [g for g in ground if g.atom.pred != EQ and (g.atom in model) == g.negated]
+            changes = [g for g, there in zip(ground, present) if g.atom.pred != EQ and there == g.negated]
             options.append(Transaction(frozenset(g.atom for g in changes if not g.negated),
                                        frozenset(g.atom for g in changes if g.negated)))
     return list(unique(options))
@@ -261,7 +293,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
         log = SearchLog.for_request(db, (goal,))
     form = _form(db)
     defs, alternative_helpers = form.definitions, form.alternative_helpers
-    model = search_model(db)
+    holds = _membership(db, form)
     universe = tuple(sorted(log.constants))
     names = _unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
@@ -291,7 +323,7 @@ def insertion_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
         if sign == ADD:
             options = adds.get(atom)
             if options is None:
-                options = adds[atom] = _options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
+                options = adds[atom] = _options_for_add(defs[atom.pred], atom, holds, universe, fresh[atom.pred])
                 helper_atoms.update(a for o in options for a in o.additions if a.pred in alternative_helpers)
         else:
             options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom, log)]

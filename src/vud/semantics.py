@@ -25,13 +25,18 @@ request reaches, so a fact set that comes up again in the search, the
 verifying step or the audit is the same instance, whose model and
 violations are already there; the log, and with it every changed database
 it keeps, goes when the request returns.  Only derivable_without_facts
-(another universe), magic_query (its guarded rules, run by
+(another universe) and magic_query (its guarded rules, run by
 insertion.derivable on a monotone database with no model kept, see
-model_kept) and the insertion world search (its helper rules, over the
-kept model) call fixpoint_model themselves.  What other layers
+model_kept) call fixpoint_model themselves.  What other layers
 derive from a rule set alone (the propagation form of insertion, the
 guarded rules of magic_query, the rules by head predicate) is kept beside
 the rules' compiled program by kept_form.
+
+The insertion world search asks about a few atoms of its helper rules over
+the kept model, not for their whole fixpoint.  SeededModel answers those:
+each atom by a join of its rule seeded with the atom's arguments (the
+first step of a _Plan reads them as a one-row delta), nested helper atoms
+on an explicit stack, each answer kept for the search.
 
 Constraint checks, the rules that fire in a model (deletion_program) and
 the model itself come out of the same evaluator.
@@ -58,7 +63,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 from .lang import (
     EQ,
@@ -433,6 +438,120 @@ class _Joins:
                 delta = new
                 todo = [fed for key in new for fed in feeds.get(key, ())]
         return derived
+
+
+# The predicate of a seeded plan's first step, which reads the ground head's
+# arguments as a one-row delta.  The parser reads no space inside a name.
+_HEAD = "head "
+
+
+class _Seeded:
+    """One rule compiled to join its body under a ground head atom: a _Plan
+    whose first step reads the head's arguments, so every later step probes
+    an index with them bound.  A subgoal over a deferred predicate, at most
+    one, is left out of the join; each binding gives its ground atom, with
+    variables no step binds ranging over the universe."""
+
+    __slots__ = ("plan", "rest")
+
+    def __init__(self, rule: Rule, deferred: Collection[str]):
+        now = [l for l in rule.body if l.atom.pred not in deferred]
+        (rest,) = [l.atom for l in rule.body if l.atom.pred in deferred] or [None]
+        seed = Literal(Atom(_HEAD, rule.head.args))  # type: ignore[union-attr]
+        self.plan = _Plan(Rule(Atom(_HEAD, () if rest is None else rest.args), (seed, *now)), 0)
+        self.rest = None if rest is None else rest.pred
+
+    def premises(self, joins: _Joins, head: Atom) -> Iterator[Atom | None]:
+        """Per binding of the body under head, the deferred subgoal's atom,
+        None when there is none: then the body holds."""
+        plan, rest = self.plan, self.rest
+        terms = plan.head[1]  # type: ignore[index]
+        for b in joins.bindings(plan, {plan.steps[0][0]: {head.args}}):
+            yield None if rest is None else Atom(rest, _values(b, terms))
+
+
+class SeededRules:
+    """Rules, one per head predicate, compiled for head-seeded joins on
+    their predicate's first lookup.  Their head predicates are the deferred
+    ones: a body holds at most one subgoal over them, positive, and they
+    never reach themselves.  Holds the rules it is given, so a form kept per
+    rule set (kept_form) may hold it only when those are new rules."""
+
+    __slots__ = ("_rules", "_compiled")
+
+    def __init__(self, rules: Iterable[Rule]):
+        self._rules = {r.head.pred: r for r in rules}  # type: ignore[union-attr]
+        self._compiled: dict[str, _Seeded] = {}
+
+    @property
+    def predicates(self) -> Collection[str]:
+        return self._rules.keys()
+
+    def __getitem__(self, pred: str) -> _Seeded:
+        found = self._compiled.get(pred)
+        if found is None:
+            found = self._compiled[pred] = _Seeded(self._rules[pred], self._rules)
+        return found
+
+
+class SeededModel:
+    """A model and, decided on demand, the atoms seeded rules derive over it.
+
+    An atom of a rule's head predicate holds when, for one binding under
+    which the rest of the rule's body holds in the model, the deferred
+    subgoal, if any, holds in turn; an atom with a constant outside the
+    universe holds in no model over it.  This is membership in
+    fixpoint_model(rules, model, universe), found top-down from the atom
+    instead of bottom-up from every rule.  The model's join indexes are
+    built on the first atom that needs them, answers are kept for the
+    object's life, and nested subgoals go on an explicit stack: a folded
+    body of n literals nests n deep.
+    """
+
+    def __init__(self, rules: SeededRules, model: frozenset[Atom], universe: frozenset[str]):
+        self._rules = rules
+        self._model = model
+        self._universe = universe
+        self._joins: _Joins | None = None
+        self._known: dict[Atom, bool] = {}
+
+    def _premises(self, atom: Atom) -> Iterator[Atom | None]:
+        if not self._universe.issuperset(atom.args):
+            return iter(())
+        if self._joins is None:
+            self._joins = _Joins(self._model, self._universe)
+        return self._rules[atom.pred].premises(self._joins, atom)
+
+    def __contains__(self, atom: Atom) -> bool:
+        known = self._known
+        verdict = known.get(atom)
+        if verdict is not None:
+            return verdict
+        # a frame: an atom, its premises not read yet, and the premise it
+        # went under for, undecided then
+        stack: list[list] = [[atom, self._premises(atom), None]]
+        while stack:
+            frame = stack[-1]
+            goal, premises, waiting = frame
+            verdict = waiting is not None and known[waiting]
+            if not verdict:
+                for premise in premises:
+                    if premise is None:
+                        verdict = True
+                        break
+                    verdict = known.get(premise)
+                    if verdict is None:
+                        frame[2] = premise
+                        stack.append([premise, self._premises(premise), None])
+                        break
+                    if verdict:
+                        break
+                else:
+                    verdict = False
+            if verdict is not None:
+                known[goal] = verdict
+                stack.pop()
+        return known[atom]
 
 
 def firing_instances(

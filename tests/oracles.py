@@ -26,7 +26,9 @@ vud.semantics.RuleInstances listed only the atoms a tree selects: the whole
 ground program, grouped by head; grounded_closed reads the closure
 postulate off it.  normalized_model is the model the
 insertion world search computed before it read the database's kept model:
-the whole normalised program evaluated from the stored facts.
+the whole normalised program evaluated from the stored facts.  search_model
+is what it read next, before it decided helper atoms on demand: the kept
+model plus a fixpoint of the helper rules over it.
 whole_key_worlds is the insertion world search before it knew a world
 without its alternative-helper atoms: every world keyed by its whole
 transaction, and the options of a view atom listed on every expansion; it
@@ -683,6 +685,17 @@ def normalized_model(db: Database) -> frozenset[Atom]:
     return fixpoint_model(normalize_rules(db.idb), db.edb, db.universe())
 
 
+def search_model(db: Database) -> frozenset[Atom]:
+    """The model vud.insertion's world search read before it decided helper
+    atoms on demand: least_model(db) plus the helper atoms, derived by the
+    helper rules alone over it.  Helper rules negate only predicates of db
+    and never reach themselves, so this is the model of the normalised
+    rules over db's facts."""
+    helpers = insertion._form(db).helpers
+    model = least_model(db)
+    return fixpoint_model(helpers, model, db.universe()) if helpers else model
+
+
 def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> tuple[Transaction, ...]:
     """vud.insertion.insertion_worlds as it was before worlds that differ
     only in alternative-helper atoms were merged: a world is known by its
@@ -692,7 +705,7 @@ def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     if log is None:
         log = SearchLog.for_request(db, (goal,))
     defs = insertion._form(db).definitions
-    model = insertion.search_model(db)
+    model = search_model(db)
     universe = tuple(sorted(log.constants))
     names = insertion._unused("new_%d", log.constants)
     fresh = {pred: [next(names) for _ in defn.alternatives] for pred, defn in defs.items()}
@@ -708,7 +721,7 @@ def whole_key_worlds(db: Database, goal: Atom, log: SearchLog | None = None) -> 
     def expand(tx: Transaction, pending) -> Iterator:
         (sign, atom), rest = pending[0], pending[1:]
         if sign == ADD:
-            options = insertion._options_for_add(defs[atom.pred], atom, model, universe, fresh[atom.pred])
+            options = insertion._options_for_add(defs[atom.pred], atom, model.__contains__, universe, fresh[atom.pred])
         else:
             options = [Transaction(frozenset(), cut) for cut in deletion_candidates(db, atom, log)]
         for option in options:

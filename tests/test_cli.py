@@ -145,6 +145,18 @@ def test_update_insert_through_a_1500_literal_body(tmp_path, capsys, head, subgo
     assert (code, out.splitlines(), err) == (0, [want], "")
 
 
+def test_update_insert_through_two_gaps_of_a_1500_literal_body(tmp_path, capsys):
+    # a0 and a750 missing: deciding the helper atom of p's folded body nests
+    # one helper per stored subgoal down to a750, about 750 deep
+    n = 1500
+    text = "p :- %s.\n" % ", ".join("a%d" % i for i in range(n))
+    text += "".join("a%d.\n" % i for i in range(1, n) if i != 750)
+    path = tmp_path / "gaps.dl"
+    path.write_text(text)
+    code, out, err = run(capsys, "update", str(path), "--insert", "p", "--all")
+    assert (code, out.splitlines(), err) == (0, ["1: +a0, +a750."], "")
+
+
 def test_round_limit_is_no_option(capsys):
     # argparse mistakes leave through the parser's own SystemExit
     with pytest.raises(SystemExit) as exit_:

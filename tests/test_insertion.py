@@ -20,7 +20,6 @@ from vud.insertion import (
     magic_program,
     magic_query,
     normalize_rules,
-    search_model,
     view_definitions,
 )
 from vud.lang import Atom, Database, Rule, SearchLog, Transaction, format_database, parse_program
@@ -31,7 +30,7 @@ import pytest
 
 from oracles import (
     base_atoms, brute_transactions, delta_add, delta_remove, necessary_loop, normalized_model,
-    propagation_rules, whole_key_worlds,
+    propagation_rules, search_model, whole_key_worlds,
 )
 from strategies import BENCH_CORPUS, dbs_with_underivable_goal, long_chain_text, positive_dbs, view_goals
 
@@ -148,6 +147,24 @@ def test_helper_names_cannot_collide_with_program_predicates():
     want = (Transaction(frozenset({Atom("c", ("k",))}), frozenset()),)
     assert insertion_candidates(renamed, goal) == want
     assert insertion_candidates(named, goal) == want
+
+
+def test_binarize_is_linear_in_the_body(monkeypatch):
+    """Folding a long body reads each subgoal's variables once, not once
+    per folding step for every subgoal left."""
+    calls = []
+    variables = Atom.variables
+    monkeypatch.setattr(Atom, "variables", lambda self: calls.append(1) or variables(self))
+
+    def count(n: int) -> int:
+        rules = parse_program("p(X) :- %s.\n" % ", ".join("a%d(X,Y%d)" % (i, i) for i in range(n)))
+        calls.clear()
+        normalize_rules(rules)
+        return len(calls)
+
+    short, long = count(1500), count(3000)
+    assert short <= 1510
+    assert long <= 2 * short + 10
 
 
 @pytest.mark.parametrize("text", [
@@ -313,9 +330,10 @@ def test_worlds_merged_below_alternative_helpers_give_the_whole_key_answers(corp
 
 @pytest.mark.parametrize("corpus", sorted(SEARCH_MODEL_CORPORA) + ["examples"])
 def test_search_model_is_the_normalized_model(corpus):
-    """The world search's model, the kept model plus the helper atoms the
-    helper rules derive over it, against the whole normalised program
-    evaluated from the stored facts."""
+    """The model the world search read before it decided helper atoms on
+    demand, which the whole-key search still reads: the kept model plus the
+    helper atoms the helper rules derive over it, against the whole
+    normalised program evaluated from the stored facts."""
     if corpus == "examples":
         dbs = [Database.load(p) for p in sorted(glob.glob("data/*.dl"))]
         dbs += [chain_database(n) for n in range(1, 9)] + [Database.parse(HELPER_NAMED_TEXT)]
@@ -327,6 +345,82 @@ def test_search_model_is_the_normalized_model(corpus):
         assert model == normalized_model(db)
         with_helpers += model != least_model(db)
     assert with_helpers
+
+
+@pytest.mark.parametrize("corpus", sorted(SEARCH_MODEL_CORPORA) + ["examples"])
+def test_world_search_answers_membership_as_the_normalized_model(corpus, monkeypatch):
+    """Every membership answer the world search gives, on the request's
+    database and on each changed database a rerun searches, is membership
+    in the whole normalised program evaluated from the stored facts.  An
+    alternative helper is asked about only while its view atom is absent,
+    which its answer without a join rests on."""
+    if corpus == "examples":
+        dbs = [Database.load(p) for p in sorted(glob.glob("data/*.dl"))]
+        dbs += [chain_database(n) for n in range(1, 9)] + [Database.parse(HELPER_NAMED_TEXT)]
+        for cfg in (GeneratorConfig(), GeneratorConfig(negation=True, constraints=True)):
+            dbs += [random_database(seed, cfg) for seed in range(40)]
+    else:
+        dbs = [random_database(seed, SEARCH_MODEL_CORPORA[corpus]) for seed in range(100)]
+    searched: list[Database] = []
+    answers: list[tuple[Database, Atom, bool]] = []
+    worlds, options = insertion.insertion_worlds, insertion._options_for_add
+
+    def recorded_worlds(db, *rest):
+        searched.append(db)
+        try:
+            return worlds(db, *rest)
+        finally:
+            searched.pop()
+
+    def recorded_options(defn, goal, holds, *rest):
+        db = searched[-1]
+
+        def recorded(atom):
+            answers.append((db, atom, holds(atom)))
+            return answers[-1][2]
+
+        return options(defn, goal, recorded, *rest)
+
+    monkeypatch.setattr(insertion, "insertion_worlds", recorded_worlds)
+    monkeypatch.setattr(insertion, "_options_for_add", recorded_options)
+    for db in dbs:
+        for goal in _absent_view_atoms(db):
+            insertion_candidates(db, goal)
+    models: dict[int, frozenset[Atom]] = {}
+    asked = {"alternative": 0, "folded": 0, "folded and true": 0}
+    for db, atom, answer in answers:
+        model = models.get(id(db))
+        if model is None:
+            model = models[id(db)] = normalized_model(db)
+        assert answer == (atom in model), (db, atom)
+        form = insertion._form(db)
+        view = form.alternative_helpers.get(atom.pred)
+        if view is not None:
+            asked["alternative"] += 1
+            assert Atom(view, atom.args) not in least_model(db), (db, atom)
+        elif atom.pred in form.seeded.predicates:
+            asked["folded"] += 1
+            asked["folded and true"] += answer
+    assert all(asked.values()), asked
+
+
+@pytest.mark.parametrize("helpers", ["folded", "alternative"])
+def test_monotone_insert_over_a_kept_model_runs_no_fixpoint(helpers, monkeypatch):
+    """The world search decides helper atoms without evaluating the helper
+    rules, so with the model kept it computes no model at all."""
+    if helpers == "folded":  # _v.1(X) :- b(X), c(X)
+        db, goal = Database.parse(HELPER_NAMED_TEXT), Atom("p", ("k",))
+    else:  # p_i :- _v.k and p_i :- _v.k+1 at every link of the chain
+        db, goal = chain_database(6), Atom("p1")
+        db = db.with_edb(db.edb - atoms("a6", "b6"))
+    least_model(db)
+    calls = []
+    fixpoint = semantics.fixpoint_model
+    counted = lambda *args: calls.append(args) or fixpoint(*args)
+    monkeypatch.setattr(semantics, "fixpoint_model", counted)
+    monkeypatch.setattr(insertion, "fixpoint_model", counted)
+    assert insertion_worlds(db, goal)
+    assert calls == []
 
 
 def test_propagation_form_is_built_once_per_rule_set(monkeypatch):
@@ -368,10 +462,10 @@ def test_kept_propagation_form_goes_with_its_database(path, goal):
 def test_alternative_helpers_are_kept_with_the_form(basic):
     # p and q each have several rules; a folded long body's helper is no
     # alternative
-    assert insertion._form(basic).alternative_helpers == {"_v.1", "_v.2", "_v.3", "_v.4"}
+    assert insertion._form(basic).alternative_helpers == {"_v.1": "p", "_v.2": "p", "_v.3": "q", "_v.4": "q"}
     folded = Database.parse(HELPER_NAMED_TEXT.replace("_v1", "w"))
     assert [r.head.pred for r in insertion._form(folded).helpers] == ["_v.1"]
-    assert insertion._form(folded).alternative_helpers == frozenset()
+    assert insertion._form(folded).alternative_helpers == {}
 
 
 @pytest.mark.parametrize("n", [10, 40])
