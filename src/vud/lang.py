@@ -611,47 +611,115 @@ def ground_program(rules: Iterable[Rule], universe: Iterable[str]) -> tuple[Rule
     return tuple(out)
 
 
-def stratify(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
-    """Predicate strata, lowest first.
+def dependency_components(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
+    """The strongly connected components of the rules' predicate dependency
+    graph, in evaluation order: every predicate a component's rules use
+    from outside it lies in an earlier component, or in none.
 
-    Raises NotStratifiableError when some predicate depends on itself
-    through negation.  Denials impose no ordering; they are checked against
-    the finished model, not used to compute it.
+    The nodes are the head predicates of the rules with a body, with an
+    edge from a rule's head to each of them in its body.  Facts and
+    denials add none, and a predicate no rule with a body defines lies in
+    no component.  Tarjan's algorithm finishes a component only after
+    every component it reaches, which is the order wanted; it runs on an
+    explicit stack, so a long chain of rules does not reach Python's
+    recursion limit.  Raises NotStratifiableError when a rule negates a
+    predicate of its own head's component.
+    """
+    rules = [r for r in rules if r.head is not None and r.body]
+    edges: dict[str, list[str]] = {r.head.pred: [] for r in rules}  # type: ignore[union-attr]
+    negated: list[tuple[str, str]] = []
+    for r in rules:
+        head = r.head.pred  # type: ignore[union-attr]
+        out = edges[head]
+        for l in r.body:
+            q = l.atom.pred
+            if q in edges:
+                out.append(q)
+                if l.negated:
+                    negated.append((head, q))
+    # order[p] counts the predicates reached before p; low[p] is the least
+    # order p reaches among predicates in no component yet, and once p is
+    # in one, len(edges), above every order
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    where: dict[str, int] = {}
+    stack: list[str] = []
+    found: list[frozenset[str]] = []
+    for root in edges:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        path = [(root, iter(edges[root]))]
+        while path:
+            p, succ = path[-1]
+            for q in succ:
+                if q not in order:
+                    order[q] = low[q] = len(order)
+                    stack.append(q)
+                    path.append((q, iter(edges[q])))
+                    break
+                if low[q] < low[p]:
+                    low[p] = low[q]
+            else:
+                path.pop()
+                if low[p] == order[p]:
+                    component = []
+                    while True:
+                        q = stack.pop()
+                        low[q] = len(edges)
+                        where[q] = len(found)
+                        component.append(q)
+                        if q == p:
+                            break
+                    found.append(frozenset(component))
+                elif low[p] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[p]
+    if any(where[head] == where[q] for head, q in negated):
+        raise NotStratifiableError("negation cycles through a view definition")
+    return tuple(found)
+
+
+def stratify(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
+    """Predicate strata, lowest first: each predicate at the least level
+    that is at least that of every predicate its rules use and above that
+    of every predicate they negate.
+
+    One pass over dependency_components in evaluation order gives each
+    component the highest level its rules ask for from outside it; every
+    predicate no rule with a body defines is at level 0, and so is every
+    predicate of a program whose rules negate no predicate.  Raises
+    NotStratifiableError when some predicate depends on itself through
+    negation.  Denials impose no ordering; they are checked against the
+    finished model, not used to compute it.
     """
     rules = tuple(rules)
-    preds: set[str] = set()
+    level: dict[str, int] = {}
+    defined: dict[str, list[Rule]] = {}
     for r in rules:
         if r.head is not None:
-            preds.add(r.head.pred)
+            level[r.head.pred] = 0
+            if r.body:
+                defined.setdefault(r.head.pred, []).append(r)
         for lit in r.body:
-            if lit.atom.pred != EQ:
-                preds.add(lit.atom.pred)
-    level = {p: 0 for p in preds}
-    # classic iterate-to-fixpoint bound: levels can only rise len(preds)
-    # times before a negative cycle is the only explanation
-    for _ in range(len(preds) + 1):
-        changed = False
-        for r in rules:
-            if r.head is None:
-                continue
-            h = r.head.pred
-            for lit in r.body:
-                if lit.atom.pred == EQ:
-                    continue
-                need = level[lit.atom.pred] + (1 if lit.negated else 0)
-                if level[h] < need:
-                    level[h] = need
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise NotStratifiableError("negation cycles through a view definition")
-    if not preds:
-        return (frozenset(),)
-    strata = []
-    for i in range(max(level.values()) + 1):
-        strata.append(frozenset(p for p in preds if level[p] == i))
-    return tuple(strata)
+            level[lit.atom.pred] = 0
+    level.pop(EQ, None)
+    if not any(lit.negated and lit.atom.pred != EQ for r in rules if r.head is not None for lit in r.body):
+        return (frozenset(level),)
+    for component in dependency_components(rules):
+        top = 0
+        for p in component:
+            for r in defined[p]:
+                for lit in r.body:
+                    q = lit.atom.pred
+                    if q not in component and q != EQ and level[q] + lit.negated > top:
+                        top = level[q] + lit.negated
+        for p in component:
+            level[p] = top
+    strata: list[set[str]] = [set() for _ in range(max(level.values()) + 1)]
+    for p, i in level.items():
+        strata[i].add(p)
+    return tuple(map(frozenset, strata))
 
 
 def check_arity(db: Database, atom: Atom) -> None:

@@ -216,7 +216,7 @@ def rationality_report(
     after_db = tx.apply(db, log)
     after = least_model(after_db)
     report: dict[str, bool] = {}
-    # after is least_model(after_db), which _Joins.saturate derives to fixpoint stratum by stratum
+    # after is least_model(after_db), which _Joins.saturate derives to fixpoint component by component
     report["closure"] = True
     report["immutable-inclusion"] = (
         after_db.idb == db.idb and after_db.ic == db.ic

@@ -1,19 +1,25 @@
 """Model computation, constraint checks and goal-directed proof trees.
 
-The model of a database is the perfect model of its stratified rules: strata
-are evaluated bottom up, each by semi-naive iteration, with negative literals
-looked up in the finished lower strata.  Rules are evaluated as joins, not
-grounded: a rule body's positive literals are joined left to right through
-hash indexes on their bound argument positions, negated and eq literals are
-tested once every variable is bound, and a variable no positive literal
-binds ranges over the universe.  Every evaluation is given its universe,
-a set that holds every constant of its rules and atoms: the database's
-own (Database.universe()), or more.  After a stratum's first round, only
-rules with a subgoal whose predicate gained atoms are joined again,
-reading that subgoal from the new atoms.  Compiled rule sets are kept for
-the few rule sets in use, keyed by the identities of their rules: the
-parser hands every database parsed from the same rule text the same Rule
-objects (lang._STATEMENTS), so those databases share one program.
+The model of a database is the perfect model of its stratified rules: the
+strongly connected components of the predicate dependency graph
+(lang.dependency_components) are evaluated in dependency order, with
+negative literals looked up in finished earlier components.  Rules are
+evaluated as joins, not grounded: a rule body's positive literals are
+joined left to right through hash indexes on their bound argument
+positions, negated and eq literals are tested once every variable is
+bound, and a variable no positive literal binds ranges over the universe;
+a rule without variables is its one instance, which fires when its body
+atoms are stored or not as its literals ask.  Every evaluation is given
+its universe, a set that holds every constant of its rules and atoms: the
+database's own (Database.universe()), or more.  A component that is not
+recursive is one predicate, derived in one pass over its rules.  A
+recursive one is run semi-naively: after its first round, only rules with
+a subgoal over the component whose predicate gained atoms are joined
+again, reading that subgoal from the new atoms.  Compiled rule sets are
+kept for the few rule sets in use, keyed by the identities of their
+rules: the parser hands every database parsed from the same rule text the
+same Rule objects (lang._STATEMENTS), so those databases share one
+program.
 
 A database's model and its constraint violations are computed once, on
 first use, and kept on the Database instance; every layer that needs them
@@ -71,9 +77,9 @@ from .lang import (
     Database,
     Literal,
     Rule,
+    dependency_components,
     ground_program,
     is_variable,
-    stratify,
 )
 
 
@@ -128,6 +134,10 @@ def _nothing(args: tuple[str, ...]) -> tuple[str, ...]:
     return ()
 
 
+# A membership test of a ground _Plan on no predicate: it never passes.
+_NEVER: tuple[_Key | None, tuple[str, ...], bool] = (None, (), False)
+
+
 class _Plan:
     """One rule compiled for joining.
 
@@ -136,9 +146,14 @@ class _Plan:
     and joined before the others.  Each join step binds the variables it
     meets first; variables no step binds are enumerated over the universe.
     Negated and eq literals are tested once every variable is bound.
+
+    A rule without variables has one instance, whose body holds when each
+    of its ordinary atoms is stored or not as its literal asks: ground
+    lists those tests, with its eq literals settled here, for a plan that
+    reads no delta; it is None for any other plan.
     """
 
-    __slots__ = ("first", "steps", "free", "tests", "head", "order")
+    __slots__ = ("first", "steps", "free", "tests", "head", "order", "ground")
 
     def __init__(self, rule: Rule, first: int | None = None):
         slots: dict[str, int] = {}
@@ -189,19 +204,30 @@ class _Plan:
         head = rule.head
         self.head = None if head is None else ((head.pred, len(head.args)), tuple([(slots.get(t, -1), t) for t in head.args]))
         self.order = tuple([slots[t] for t in sorted(slots)])
+        self.ground = None
+        if first is None and not slots:
+            if all(eq_holds(l) for l in tested if l.atom.pred == EQ):
+                self.ground = tuple([
+                    ((l.atom.pred, len(l.atom.args)), l.atom.args, l.negated) for l in body if l.atom.pred != EQ])
+            else:
+                self.ground = (_NEVER,)
+
+
+# A dependency component's first round and feeds (see _Program.components).
+_Component = tuple[list[tuple[int, int | None]], dict[_Key, list[tuple[int, int]]]]
 
 
 class _Program:
     """A rule sequence prepared for joining.
 
     Up front it records each rule's positive ordinary subgoals (body
-    position, predicate and arity); plans and the strata are built on
-    first use, and so are the forms other layers derive from the rules
-    alone (kept_form).  It holds no reference to the rules, which callers
-    pass in again, so it goes when they do.
+    position, predicate and arity); plans and the dependency components
+    are built on first use, and so are the forms other layers derive from
+    the rules alone (kept_form).  It holds no reference to the rules,
+    which callers pass in again, so it goes when they do.
     """
 
-    __slots__ = ("uses", "refs", "forms", "_plans", "_delta", "_strata")
+    __slots__ = ("uses", "refs", "forms", "_plans", "_delta", "_components")
 
     def __init__(self, rules: tuple[Rule, ...]):
         self.uses = tuple([
@@ -212,12 +238,12 @@ class _Program:
         self.forms: dict[Callable[..., object], object] = {}
         self._plans: list[_Plan | None] = [None] * len(rules)
         self._delta: dict[tuple[int, int], _Plan] = {}
-        self._strata: list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]] | None = None
+        self._components: list[_Component] | None = None
 
     def plan(self, rules: tuple[Rule, ...], n: int, position: int | None = None) -> _Plan:
         """Rule n's plan, reading the literal at position from the delta
         when one is given.  A rule without variables has a single instance,
-        so joining it against the whole model does the same work."""
+        so testing its body against the whole model does the same work."""
         plan = self._plans[n]
         if plan is None:
             plan = self._plans[n] = _Plan(rules[n])
@@ -228,26 +254,25 @@ class _Program:
             delta = self._delta[n, position] = _Plan(rules[n], position)
         return delta
 
-    def strata(self, rules: tuple[Rule, ...]) -> list[tuple[list[int], dict[_Key, list[tuple[int, int]]]]]:
-        """Per stratum, lowest first: its rules, and for each predicate the
-        (rule, body position) pairs where one of those rules uses it
-        positively.  A program that negates no predicate it defines is a
-        single stratum."""
-        if self._strata is None:
-            heads = {r.head.pred for r in rules}  # type: ignore[union-attr]
-            if any(l.negated and l.atom.pred in heads for r in rules for l in r.body):
-                level = {p: i for i, stratum in enumerate(stratify(rules)) for p in stratum}
-            else:
-                level = dict.fromkeys(heads, 0)
-            self._strata = [([], {}) for _ in range(max(level.values(), default=-1) + 1)]
+    def components(self, rules: tuple[Rule, ...]) -> list[_Component]:
+        """Per dependency component of the rules, in evaluation order
+        (lang.dependency_components): its rules, each as the pair (rule,
+        None) that reads no delta, and for each of its predicates the
+        (rule, body position) pairs where one of its rules uses it
+        positively.  Those feeds are empty unless the component is
+        recursive.  The rules all have a head and a body."""
+        if self._components is None:
+            found = dependency_components(rules)
+            where = {p: i for i, component in enumerate(found) for p in component}
+            self._components = [([], {}) for _ in found]
             for n, rule in enumerate(rules):
-                s_idx = level[rule.head.pred]  # type: ignore[union-attr]
-                members, feeds = self._strata[s_idx]
-                members.append(n)
+                home = where[rule.head.pred]  # type: ignore[union-attr]
+                members, feeds = self._components[home]
+                members.append((n, None))
                 for i, key in self.uses[n]:
-                    if level.get(key[0]) == s_idx:
+                    if where.get(key[0]) == home:
                         feeds.setdefault(key, []).append((n, i))
-        return self._strata
+        return self._components
 
 
 # Prepared programs keyed by the identities of their rules, least recently
@@ -349,6 +374,12 @@ class _Joins:
     def bindings(self, plan: _Plan, delta: dict[_Key, _Rows] | None = None) -> list[tuple[str, ...]]:
         """Every binding of the plan's variables, in slot order, under which
         its body holds; a delta plan's first step reads the delta."""
+        if plan.ground is not None:
+            rows = self.rows
+            for key, args, negated in plan.ground:
+                if (args in rows.get(key, ())) == negated:
+                    return []
+            return [()]
         found: list[tuple[str, ...]] = [()]
         for n, (key, terms, positions, keyof, pick, repeats) in enumerate(plan.steps):
             index = None
@@ -408,16 +439,18 @@ class _Joins:
         return out
 
     def saturate(self, program: _Program, rules: tuple[Rule, ...]) -> list[Atom]:
-        """Derive to fixpoint, stratum by stratum; the new atoms.
+        """Derive to fixpoint, dependency component by component; the new
+        atoms.
 
-        The first round of a stratum joins each of its rules against
-        everything stored, later rounds only the rules fed by the atoms the
-        round before derived, reading the feeding subgoal from those.  A
-        rule with a subgoal that has no atoms is skipped: it cannot fire.
+        The first round of a component joins each of its rules against
+        everything stored.  A component that is not recursive is one
+        predicate its rules do not use, so that round is its one pass.  In
+        a recursive one, later rounds join only the rules fed by the atoms
+        the round before derived, reading the feeding subgoal from those.
+        A rule with a subgoal that has no atoms is skipped: it cannot fire.
         """
         derived: list[Atom] = []
-        for members, feeds in program.strata(rules):
-            todo = [(n, None) for n in members]
+        for todo, feeds in program.components(rules):
             delta: dict[_Key, _Rows] | None = None
             while todo:
                 new: dict[_Key, _Rows] = {}
@@ -435,6 +468,8 @@ class _Joins:
                     for args in rows:
                         self.add(key, args)
                         derived.append(Atom(key[0], args))
+                if not feeds:
+                    break
                 delta = new
                 todo = [fed for key in new for fed in feeds.get(key, ())]
         return derived
@@ -569,11 +604,15 @@ def fixpoint_model(rules: Sequence[Rule], facts: Iterable[Atom], universe: Colle
 
     Variables range over the universe, which holds every constant of the
     rules and facts (a database's own, Database.universe(), or more).
-    Strata are evaluated bottom up, each semi-naively: the first round
-    joins every rule of the stratum against the model, and each later
-    round joins only the rules with a same-stratum positive subgoal whose
-    predicate gained atoms in the round before, reading that subgoal from
-    those new atoms.
+    Dependency components are evaluated in dependency order.  A component
+    that is not recursive is derived in one pass: each of its rules joined
+    once against the model, or, without variables, fired when its body
+    atoms are stored or not as asked.  A recursive one is run
+    semi-naively: the first round joins each of its rules against the
+    model, and each later round joins only the rules with a positive
+    subgoal over the component whose predicate gained atoms in the round
+    before, reading that subgoal from those new atoms.  Raises
+    NotStratifiableError when negation cycles through a view definition.
     """
     rules = tuple(r for r in rules if r.head is not None and r.body)
     program = _compiled(rules)

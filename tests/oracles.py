@@ -10,7 +10,10 @@ and the same clauses in the same order.  The hitting-set references are
 the exhaustive subset sweep that vud.hitting's incremental transversals
 replaced, a branch-and-bound version and is_hitting_set.  edb_cuts is a
 second formulation of a production function that production does not call;
-the tests check that both formulations agree.  antichain_pairwise is the
+the tests check that both formulations agree.  iterated_strata is the
+iterate-to-fixpoint stratification that vud.lang.stratify replaced by one
+pass over the dependency components; grounded_fixpoint_model orders its
+strata by it.  antichain_pairwise is the
 quadratic subset-minimal filter that vud.lang.antichain replaced, and
 minimal_sets the loop vud.explain.minimal_members ran before it used
 antichain.  scanning_tableau is the deletion tableau over literal sets
@@ -65,8 +68,8 @@ from vud import insertion
 from vud.deletion import deletion_candidates
 from vud.insertion import ADD, REMOVE, derivable, normalize_rules
 from vud.lang import (
-    EQ, Atom, Database, Literal, Rule, SearchLog, Transaction, breadth_first, ground_program, is_variable,
-    stratify, unique,
+    EQ, Atom, Database, Literal, NotStratifiableError, Rule, SearchLog, Transaction, breadth_first,
+    ground_program, is_variable, unique,
 )
 from vud.revision import CONTRACTION_GUARANTEES, REVISION_GUARANTEES, contract, rationality_report, revise
 from vud.semantics import build_proof_tree, check_ic, firing_instances, fixpoint_model, least_model, reduct
@@ -129,6 +132,45 @@ def _peel_strata(rules: Sequence[Rule]) -> list[set[str]]:
     return strata
 
 
+def iterated_strata(rules: Iterable[Rule]) -> tuple[frozenset[str], ...]:
+    """Predicate strata, lowest first, as vud.lang.stratify computed them
+    before it read them off the dependency components: every level starts
+    at 0 and is raised to what each rule asks for until none changes, a
+    sweep over every rule per step of the longest chain of dependencies.
+    Raises NotStratifiableError when a negative cycle keeps raising them."""
+    rules = tuple(rules)
+    preds: set[str] = set()
+    for r in rules:
+        if r.head is not None:
+            preds.add(r.head.pred)
+        for lit in r.body:
+            if lit.atom.pred != EQ:
+                preds.add(lit.atom.pred)
+    level = {p: 0 for p in preds}
+    # levels can only rise len(preds) times before a negative cycle is the
+    # only explanation
+    for _ in range(len(preds) + 1):
+        changed = False
+        for r in rules:
+            if r.head is None:
+                continue
+            h = r.head.pred
+            for lit in r.body:
+                if lit.atom.pred == EQ:
+                    continue
+                need = level[lit.atom.pred] + (1 if lit.negated else 0)
+                if level[h] < need:
+                    level[h] = need
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise NotStratifiableError("negation cycles through a view definition")
+    if not preds:
+        return (frozenset(),)
+    return tuple(frozenset(p for p in preds if level[p] == i) for i in range(max(level.values()) + 1))
+
+
 def naive_model(rules: Sequence[Rule], facts: Iterable[Atom]) -> frozenset[Atom]:
     """Perfect model by naive repeated application of all ground rules,
     one peeled stratum at a time."""
@@ -185,7 +227,7 @@ def grounded_fixpoint_model(
     facts = set(facts)
     consts = set(universe) if universe is not None else _constants(rules, facts)
     ground = ground_program(rules, consts)
-    strata = stratify(rules)
+    strata = iterated_strata(rules)
     level = {p: i for i, s in enumerate(strata) for p in s}
     model: set[Atom] = set(facts)
     for s_idx, stratum in enumerate(strata):

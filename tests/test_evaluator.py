@@ -4,19 +4,26 @@ Models, constraint violations, fired deletion clauses and firing instances
 must match the grounded references in oracles.py exactly, order included,
 on seeded random corpora with negation, eq literals, body-only variables,
 unsafe variables and view cycles.  Models, and the models of the databases
-updates produce, must be closed under every grounded rule instance.
+updates produce, must be closed under every grounded rule instance.  The
+strata read off the dependency components must be the iterated ones, and
+a family of variable-free programs, with a recursive one beside them, puts
+each way a component is evaluated against the naive and grounded models.
 """
 
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
 from vud.deletion import deletion_program
 from vud.engine import UnrealizableError, UpdateRequest, view_update
 from vud.insertion import magic_query
-from vud.lang import EQ, Atom, Database, Literal, Rule, ground_program, is_variable, parse_program
-from vud.randgen import GeneratorConfig, random_database, random_ground_atom
+from vud.lang import (
+    EQ, Atom, Database, Literal, NotStratifiableError, Rule, dependency_components, ground_program, is_variable,
+    parse_program, stratify,
+)
+from vud.randgen import GeneratorConfig, chain_database, random_database, random_ground_atom
 from vud.revision import contract, revise
 from vud.semantics import check_ic, firing_instances, fixpoint_model, least_model
 
@@ -25,8 +32,11 @@ from oracles import (
     grounded_closed,
     grounded_deletion_program,
     grounded_fixpoint_model,
+    iterated_strata,
     naive_model,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 SEEDS = range(60)
 
@@ -155,6 +165,81 @@ def test_explicit_universe(databases, extra):
         model = fixpoint_model(db.idb, db.edb, universe)
         assert model == grounded_fixpoint_model(db.idb, db.edb, universe)
         assert firing_instances(db.rules, model, universe) == _grounded_firing(db.rules, model, universe)
+
+
+def test_strata_match_the_iterated_ones():
+    dbs = [db for name in CONFIGS for db in corpus(name)]
+    dbs += [Database.load(str(path)) for path in sorted(DATA.glob("*.dl"))]
+    layered = 0
+    for db in dbs:
+        strata = stratify(db.rules)
+        assert strata == iterated_strata(db.rules)
+        layered += len(strata) > 1
+    assert layered
+
+
+@pytest.mark.parametrize("text", [
+    "", ":- not eq(a,b).", "p :- not eq(a,b).", ":- a, not b.", "p :- not b.", "p :- a, not eq(a,b). :- not c.",
+])
+def test_strata_of_edge_programs_match_the_iterated_ones(text):
+    # negated eq literals and denials raise no level; a negated stored
+    # predicate does
+    rules = parse_program(text)
+    assert stratify(rules) == iterated_strata(rules)
+
+
+@pytest.mark.parametrize("text", ["p :- not q. q :- not p.", "p(X) :- e(X), not p(X)."])
+def test_negative_cycles_are_rejected_both_ways(text):
+    rules = parse_program(text)
+    with pytest.raises(NotStratifiableError):
+        stratify(rules)
+    with pytest.raises(NotStratifiableError):
+        iterated_strata(rules)
+
+
+def _far_negation_chain(n: int, stored_c: bool) -> Database:
+    """p0 :- a0, p1.  ...  pn :- an, not q.  q :- c.  with every a_i stored,
+    and c too when asked."""
+    text = "".join("p%d :- a%d, p%d.\n" % (i, i, i + 1) for i in range(n))
+    text += "p%d :- a%d, not q.\nq :- c.\n" % (n, n) + "".join("a%d.\n" % i for i in range(n + 1))
+    return Database.parse(text + ("c.\n" if stored_c else ""))
+
+
+def variable_free_family() -> list[Database]:
+    """Variable-free programs: two-support chains, a long chain negating q
+    at its far end, eq settled on constants under negated views, and a
+    ground cycle; then transitive closure over a path, which recurses
+    through variables."""
+    dbs = [chain_database(n) for n in range(3, 9)]
+    dbs += [_far_negation_chain(40, stored_c) for stored_c in (False, True)]
+    dbs += [Database.parse(text) for text in (
+        "p :- eq(a,b). q :- not p.",
+        "p :- eq(a,a), s. q :- not p, not eq(a,b). r :- s, not q. t :- not r, eq(b,b). s.",
+        "p :- not eq(a,a). q :- eq(a,b). r :- not p, not q. :- r, eq(a,a).",
+        "p :- q. q :- p. q :- a. a.",
+        "p :- q. q :- r. r :- p. p :- a. a.",
+        "p :- q. q :- p. r :- not p. q :- a.",
+    )]
+    dbs.append(Database.parse(
+        "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z).\n" + "".join("e(v%d,v%d).\n" % (i, i + 1) for i in range(6))))
+    return dbs
+
+
+def test_variable_free_family_matches_naive_and_grounding():
+    recursive = {"ground": 0, "joined": 0}
+    for db in variable_free_family():
+        model = fixpoint_model(db.idb, db.edb, db.universe())
+        assert model == naive_model(db.idb, db.edb)
+        assert model == grounded_fixpoint_model(db.idb, db.edb, db.universe())
+        assert model == least_model(db)
+        # a recursive component: more than one predicate, or one that uses itself
+        cyclic = any(
+            len(component) > 1 or any(l.atom.pred in component for r in db.idb if r.head.pred in component for l in r.body)
+            for component in dependency_components(db.idb)
+        )
+        if cyclic:
+            recursive["joined" if any(r.variables() for r in db.idb) else "ground"] += 1
+    assert recursive == {"ground": 3, "joined": 1}
 
 
 def test_unbound_variables_range_over_universe():

@@ -19,6 +19,7 @@ from vud.lang import (
     Rule,
     Transaction,
     antichain,
+    dependency_components,
     fact,
     format_database,
     ground_program,
@@ -201,6 +202,21 @@ def test_stratify_layers_negation():
     level = {p: i for i, s in enumerate(strata) for p in s}
     assert level["p"] < level["r"] < level["s"]
     assert level["a"] == 0 and level["b"] == 0
+
+
+def test_dependency_components_in_evaluation_order():
+    # a three-predicate cycle entered at p, beside a chain and a negation;
+    # facts and denials add no component
+    rules = parse_program("s :- p, not t.\np :- q.\nq :- r.\nr :- p.\np :- a.\nt :- u.\nu :- b.\n"
+                          "a.\n:- s, u.\n")
+    components = dependency_components(rules)
+    assert set(components) == {frozenset("pqr"), frozenset("s"), frozenset("t"), frozenset("u")}
+    place = {p: i for i, c in enumerate(components) for p in c}
+    for r in rules:
+        if r.head is not None and r.body:
+            assert all(place.get(l.atom.pred, -1) <= place[r.head.pred] for l in r.body)
+    with pytest.raises(NotStratifiableError):
+        dependency_components(parse_program("p :- q.\nq :- r.\nr :- not p.\n"))
 
 
 def test_stratify_rejects_negative_cycles():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from vud import semantics
 from vud.deletion import deletion_candidates
-from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, Transaction, fact, parse_program
+from vud.lang import Atom, Database, Literal, NotStratifiableError, Rule, Transaction, fact, parse_program, stratify
 from vud.randgen import GeneratorConfig, chain_database, random_database
 from vud.semantics import (
     build_proof_tree,
@@ -73,6 +74,27 @@ def test_stratified_negation():
     # the unique stable model agrees
     assert stable_models(list(db.idb), db.edb) == [atoms("a", "p")]
     assert stable_models(list(withb.idb), withb.edb) == [atoms("a", "b", "q")]
+
+
+@pytest.mark.parametrize("text", ["p :- not q. q :- not p.", "p(X) :- e(X), not p(X). e(a)."])
+def test_least_model_rejects_unstratifiable_programs(text):
+    with pytest.raises(NotStratifiableError):
+        least_model(Database.parse(text))
+
+
+def test_long_chain_with_far_negation_is_linear():
+    # the levels used to be raised one link per sweep over every rule,
+    # which took seconds at this length
+    n = 3000
+    text = "".join("p%d :- a%d, p%d.\n" % (i, i, i + 1) for i in range(n))
+    text += "p%d :- a%d, not q.\nq :- c.\n" % (n, n) + "".join("a%d.\n" % i for i in range(n + 1))
+    db = Database.parse(text)
+    start = time.perf_counter()
+    strata = stratify(db.rules)
+    model = least_model(db)
+    assert time.perf_counter() - start < 1.0
+    assert [len(s) for s in strata] == [n + 3, n + 1]
+    assert Atom("p0") in model and Atom("q") not in model
 
 
 def test_eq_literals_in_bodies():
